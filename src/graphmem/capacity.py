@@ -17,14 +17,13 @@ retrieval on the two-clique graph.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import entropy, wilson_interval
 from .graphs import Graph, DegreeStats
-from .hopfield import (FieldEngine, PatternSet, corrupt, hamming,
+from .hopfield import (FieldEngine, PatternSet, corrupt, hamming, run_block,
                        run_dynamics, sample_patterns)
 from .spectral import SpectralSummary, spectrum_summary
 
@@ -271,56 +270,31 @@ def basin_trial(g: Graph, p: PatternSet, mu: int, rho: float, k_max: int,
                        target_mu=mu, rho=rho, final_distance=hamming(out.final, target))
 
 
-def _run_trials(g, p, rho, k_max, master_seed, indices, engine) -> tuple[int, int, int]:
-    """(successes, sum of steps over successes, trials run)."""
-    succ = 0
-    step_sum = 0
-    for t in indices:
-        rng = np.random.default_rng(_trial_seed(master_seed, t))
-        mu = int(rng.integers(p.m_patterns))
-        res = basin_trial(g, p, mu, rho, k_max, rng, engine=engine)
-        if res.recovered:
-            succ += 1
-            step_sum += res.steps
-    return succ, step_sum, len(indices)
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(g, p, rho, k_max, master_seed):
-    _POOL_STATE["args"] = (g, p, rho, k_max, master_seed)
-    _POOL_STATE["engine"] = FieldEngine(g, p)
-
-
-def _pool_chunk(indices):
-    g, p, rho, k_max, master_seed = _POOL_STATE["args"]
-    return _run_trials(g, p, rho, k_max, master_seed, indices, _POOL_STATE["engine"])
-
-
 def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
                   trials: int, seed: int, z: float = 1.959964,
-                  workers: int = 1) -> RateEstimate:
+                  engine: FieldEngine | None = None) -> RateEstimate:
     """Success fraction of basin_trial over uniformly drawn (mu, corruption)
     pairs, with a Wilson interval.
 
-    Per-trial seeds are a pure function of (seed, trial index), so the
-    result is identical for any worker count; workers only split the index
-    range.
+    Trial t draws its pattern and corruption from its own generator, a pure
+    function of (seed, t), exactly as basin_trial would; all starts then
+    run together as one block of the parallel dynamics.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    indices = range(trials)
-    if workers > 1 and trials > 1:
-        chunks = np.array_split(np.arange(trials), min(workers * 4, trials))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(g, p, rho, k_max, seed)) as pool:
-            parts = list(pool.map(_pool_chunk, [c.tolist() for c in chunks]))
-        succ = sum(x[0] for x in parts)
-        step_sum = sum(x[1] for x in parts)
-    else:
-        engine = FieldEngine(g, p)
-        succ, step_sum, _ = _run_trials(g, p, rho, k_max, seed, indices, engine)
+    if not 0.0 <= rho < 0.5:
+        raise ValueError("rho must lie in [0, 1/2)")
+    mus = np.empty(trials, dtype=np.int64)
+    starts = np.empty((g.n, trials), dtype=np.int8)
+    for t in range(trials):
+        rng = np.random.default_rng(_trial_seed(seed, t))
+        mus[t] = rng.integers(p.m_patterns)
+        starts[:, t] = corrupt(p.pattern(mus[t]), rho, rng)
+    out = run_block(g, p, starts, k_max, engine=engine)
+    recovered = ((out.terminal == "fixed_point")
+                 & (out.final == p.bits[mus].T).all(axis=0))
+    succ = int(recovered.sum())
+    step_sum = int(out.steps[recovered].sum())
     lo, hi = wilson_interval(succ, trials, z)
     mean_steps = step_sum / succ if succ else math.nan
     return RateEstimate(rate=succ / trials, ci_lo=lo, ci_hi=hi,
@@ -345,14 +319,15 @@ def _spot_trial(g: Graph, p: PatternSet, rho: float, k_max: int,
 
 def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
                     threshold: float, seed: int, z: float = 1.959964,
-                    workers: int = 1, m_cap: int | None = None) -> CapacityEstimate:
+                    m_cap: int | None = None) -> CapacityEstimate:
     """Largest pattern count M with recovery rate >= threshold.
 
     Doubles M until the rate drops below the threshold (exponential
     bracket), then bisects.  A rate whose confidence interval straddles
     the threshold is re-measured once with 4x trials.  Each M must also
     pass the structured spot trial; a failed spot check counts as a fail
-    regardless of the uniform rate.
+    regardless of the uniform rate.  The couplings for each M are built
+    once and shared by its estimates and its spot trial.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
@@ -372,11 +347,11 @@ def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
         p = sample_patterns(m, g.n, pat_seed)
         engine = FieldEngine(g, p)
         rate_seed = int(np.random.SeedSequence(entropy=(seed, m, 2)).generate_state(1)[0])
-        est = recovery_rate(g, p, rho, k_max, trials, rate_seed, z=z, workers=workers)
+        est = recovery_rate(g, p, rho, k_max, trials, rate_seed, z=z, engine=engine)
         if est.ci_lo <= threshold <= est.ci_hi:
             retry_seed = int(np.random.SeedSequence(entropy=(seed, m, 3)).generate_state(1)[0])
             est = recovery_rate(g, p, rho, k_max, 4 * trials, retry_seed, z=z,
-                                workers=workers)
+                                engine=engine)
         spot_ok = _spot_trial(g, p, rho, k_max, engine)
         curve[m] = CurvePoint(m=m, trials=est.trials, successes=est.successes,
                               rate=est.rate, ci_lo=est.ci_lo, ci_hi=est.ci_hi,

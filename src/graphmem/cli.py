@@ -43,7 +43,6 @@ class ExperimentConfig:
     master_seed: int = 0
     output_path: str | None = None
     format: str = "csv"
-    worker_count: int = 1
 
     def to_dict(self) -> dict:
         # output_path is where the artifact lands, not part of the
@@ -54,7 +53,6 @@ class ExperimentConfig:
             "params": dict(sorted(self.params.items())),
             "master_seed": self.master_seed,
             "format": self.format,
-            "worker_count": self.worker_count,
         }
 
     def echo(self) -> str:
@@ -220,8 +218,7 @@ def _cmd_capacity(config: ExperimentConfig) -> int:
     k_max = None if pr["kmax"] == "auto" else int(pr["kmax"])
     est = capacity_mod.capacity_search(
         g, rho=pr["rho"], k_max=k_max, trials=pr["trials"],
-        threshold=pr["threshold"], seed=config.master_seed,
-        workers=config.worker_count)
+        threshold=pr["threshold"], seed=config.master_seed)
     header = ["M", "trials", "successes", "rate", "ci_lo", "ci_hi", "mean_steps"]
     rows = [(c.m, c.trials, c.successes, c.rate, c.ci_lo, c.ci_hi, c.mean_steps)
             for c in est.curve]
@@ -280,12 +277,15 @@ def _cmd_verify(config: ExperimentConfig) -> int:
         for _ in range(pr["trials"]):
             m_pat = int(rng.integers(1, 5))
             pats = hopfield_mod.sample_patterns(m_pat, g.n, rng)
+            eng = hopfield_mod.FieldEngine(g, pats)
             s0 = (rng.integers(0, 2, g.n, dtype=np.int8) * 2 - 1)
-            e0s = hopfield_mod.energy_S(g, pats, s0)
-            e0t = hopfield_mod.energy_T(g, pats, s0)
-            if hopfield_mod.energy_S(g, pats, hopfield_mod.sequential_sweep(g, pats, s0)) > e0s:
+            e0s = hopfield_mod.energy_S(g, pats, s0, engine=eng)
+            e0t = hopfield_mod.energy_T(g, pats, s0, engine=eng)
+            swept = hopfield_mod.sequential_sweep(g, pats, s0, engine=eng)
+            if hopfield_mod.energy_S(g, pats, swept, engine=eng) > e0s:
                 violations += 1
-            if hopfield_mod.energy_T(g, pats, hopfield_mod.parallel_step(g, pats, s0)) > e0t:
+            stepped = hopfield_mod.parallel_step(g, pats, s0, engine=eng)
+            if hopfield_mod.energy_T(g, pats, stepped, engine=eng) > e0t:
                 violations += 1
         detail = {"trials": pr["trials"]}
     elif check == "subgraph":
@@ -337,7 +337,7 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int,
                           trials: int = 100, p: float = 0.15,
                           beta: float = 3.5, davg: float = 32.0,
                           mbar: float = 128.0, c0: float = 0.5,
-                          c_pl: float = 0.1, workers: int = 1) -> dict:
+                          c_pl: float = 0.1) -> dict:
     """Run generate -> spectrum -> condition checks -> capacity_search over
     a size ladder and fit m_hat against the predicted scaling variable.
 
@@ -389,8 +389,7 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int,
         h2 = spectral_mod.check_h2(s, g.n, 1.0)
         cseed = int(np.random.SeedSequence(entropy=(seed, n, 1)).generate_state(1)[0])
         est = capacity_mod.capacity_search(g, rho=rho, k_max=None, trials=trials,
-                                           threshold=threshold, seed=cseed,
-                                           workers=workers)
+                                           threshold=threshold, seed=cseed)
         steps = [c.mean_steps for c in est.curve
                  if c.m == est.m_hat and not math.isnan(c.mean_steps)]
         rows.append({
@@ -417,7 +416,7 @@ def _cmd_reproduce(config: ExperimentConfig) -> int:
         suite=pr["suite"], sizes=pr["sizes"], seed=config.master_seed,
         rho=pr["rho"], threshold=pr["threshold"], trials=pr["trials"],
         p=pr["p"], beta=pr["beta"], davg=pr["davg"], mbar=pr["mbar"],
-        c0=pr["c0"], c_pl=pr["c_pl"], workers=config.worker_count)
+        c0=pr["c0"], c_pl=pr["c_pl"])
     header = ["n", "lambda1", "kappa", "h1_holds", "h2_holds", "predictor",
               "m_hat", "ratio", "mean_steps"]
     rows = [tuple(r[k] for k in header) for r in result["rows"]]
@@ -464,10 +463,6 @@ def _add_common(sub, with_out=True):
                      help="master seed (default: GRAPHMEM_SEED or 0)")
     if with_out:
         sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: available parallelism)")
-    sub.add_argument("--deterministic-order", action="store_true",
-                     help="force a single worker")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -556,13 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
     seed = ns.seed if ns.seed is not None else _default_seed()
-    if getattr(ns, "deterministic_order", False):
-        workers = 1
-    elif ns.workers is not None:
-        workers = max(1, ns.workers)
-    else:
-        workers = os.cpu_count() or 1
-    skip = {"command", "seed", "out", "workers", "deterministic_order"}
+    skip = {"command", "seed", "out"}
     params = {k: v for k, v in vars(ns).items() if k not in skip and v is not None}
     if "sizes" in params and isinstance(params["sizes"], str):
         try:
@@ -573,8 +562,7 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
     fmt = "csv" if ns.command in ("capacity", "reproduce") else \
         ("edgelist" if ns.command == "gen" else "json")
     return ExperimentConfig(command=ns.command, params=params, master_seed=seed,
-                            output_path=getattr(ns, "out", None), format=fmt,
-                            worker_count=workers)
+                            output_path=getattr(ns, "out", None), format=fmt)
 
 
 def main(argv=None) -> int:

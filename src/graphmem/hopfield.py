@@ -19,11 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph
-
-# Crossover pattern count: below it fields are recomputed from the patterns
-# each step, above it the per-edge pattern products get cached up front.
-_CACHE_MIN_PATTERNS = 64
+from .graphs import Graph, edge_endpoints
 
 
 @dataclass(frozen=True)
@@ -65,40 +61,48 @@ def sample_patterns(m: int, n: int, seed) -> PatternSet:
 
 
 class FieldEngine:
-    """Exact integer local-field evaluator for a fixed (graph, patterns) pair.
+    """Exact local fields for a fixed (graph, patterns) pair.
 
-    mode "direct" computes sum_mu xi^mu (.) A (xi^mu (.) sigma) each call,
-    O(M|E|) per step with no setup.  mode "cached" precomputes the per-edge
-    weights sum_mu xi_i xi_j once (O(M|E|)), after which a step is a single
-    integer matvec, O(|E|).  "auto" caches when M exceeds the crossover,
-    which is the right call whenever several steps share the engine.
+    The couplings J_ij = a_ij sum_mu xi_i^mu xi_j^mu are built once, in
+    the storage the input calls for:
+
+    - "dense": an n x n float64 array, used when it takes no more memory
+      than the CSR weights it replaces (8 n^2 <= 12 nnz, as on K_n).  J is
+      Xi^T Xi masked by the adjacency, and fields come from one GEMM.  The
+      float arithmetic is exact: every partial sum is an integer of
+      magnitude at most M * max degree < 2^31 (checked below), far inside
+      the 2^53 range of float64 integers.
+    - "csr": int64 per-arc weights aligned with the graph's CSR arrays,
+      used otherwise.
+
+    fields() accepts one state (n,) or a block of states (n, B) and
+    returns exact int64 fields of the same shape.
     """
 
-    def __init__(self, g: Graph, p: PatternSet, mode: str = "auto"):
+    def __init__(self, g: Graph, p: PatternSet):
         if p.n != g.n:
             raise ValueError(f"patterns have length {p.n}, graph has {g.n} vertices")
         m_deg = int(g.degrees.max()) if g.n else 0
         if p.m_patterns * max(m_deg, 1) >= 2 ** 31:
             raise ValueError("pattern count times max degree overflows the field budget")
-        if mode == "auto":
-            mode = "cached" if p.m_patterns > _CACHE_MIN_PATTERNS else "direct"
-        if mode not in ("direct", "cached"):
-            raise ValueError(f"unknown mode {mode!r}")
         self.g = g
         self.p = p
-        self.mode = mode
-        if mode == "cached":
-            self._adj = sp.csr_matrix(
-                (self._edge_weights(), g.indices, g.indptr), shape=(g.n, g.n))
+        if 8 * g.n * g.n <= 12 * g.indices.size:
+            self.storage = "dense"
+            xi = p.bits.astype(np.float64)
+            full = xi.T @ xi
+            src, dst = edge_endpoints(g)
+            self._j = np.zeros_like(full)
+            self._j[src, dst] = full[src, dst]
         else:
-            ones = np.ones(g.indices.size, dtype=np.int64)
-            self._adj = sp.csr_matrix((ones, g.indices, g.indptr), shape=(g.n, g.n))
+            self.storage = "csr"
+            self._j = sp.csr_array(
+                (self._edge_weights(), g.indices, g.indptr), shape=(g.n, g.n))
 
     def _edge_weights(self) -> np.ndarray:
         """Per-arc pattern products, aligned with g.indices."""
         bits = self.p.bits
-        src = np.repeat(np.arange(self.g.n, dtype=np.int64), np.diff(self.g.indptr))
-        dst = self.g.indices
+        src, dst = edge_endpoints(self.g)
         out = np.empty(dst.size, dtype=np.int64)
         chunk = max(1, int(4e6 // max(bits.shape[0], 1)))
         for lo in range(0, dst.size, chunk):
@@ -108,27 +112,17 @@ class FieldEngine:
         return out
 
     def fields(self, s: np.ndarray) -> np.ndarray:
-        """h_i(s) for every vertex, exact int64."""
-        if self.mode == "cached":
-            return self._adj @ s.astype(np.int64)
-        masked = (self.p.bits * s[np.newaxis, :]).astype(np.int64)
-        z = self._adj @ masked.T            # (n, M)
-        return np.einsum("mn,nm->n", self.p.bits.astype(np.int64), z)
+        """h(s) for a state (n,) or each column of a block (n, B), exact int64."""
+        if self.storage == "dense":
+            return (self._j @ s.astype(np.float64)).astype(np.int64)
+        return self._j @ s.astype(np.int64)
 
     def field_at(self, s: np.ndarray, i: int) -> int:
         """h_i(s) for a single vertex."""
-        g = self.g
-        nbrs = g.indices[g.indptr[i]:g.indptr[i + 1]]
-        if self.mode == "cached":
-            w = self._adj.data[g.indptr[i]:g.indptr[i + 1]]
-            return int(np.dot(w, s[nbrs].astype(np.int64)))
-        bits = self.p.bits
-        t = bits[:, nbrs].astype(np.int64) @ s[nbrs].astype(np.int64)
-        return int(np.dot(bits[:, i].astype(np.int64), t))
-
-
-def local_field(g: Graph, p: PatternSet, s, i: int) -> int:
-    return FieldEngine(g, p, mode="direct").field_at(np.asarray(s, dtype=np.int8), i)
+        if self.storage == "dense":
+            return int(self._j[i] @ s)
+        lo, hi = self.g.indptr[i], self.g.indptr[i + 1]
+        return int(self._j.data[lo:hi] @ s[self.g.indices[lo:hi]])
 
 
 def _sign(h: np.ndarray) -> np.ndarray:
@@ -139,7 +133,7 @@ def _sign(h: np.ndarray) -> np.ndarray:
 def parallel_step(g: Graph, p: PatternSet, s, engine: FieldEngine | None = None) -> np.ndarray:
     """One application of the parallel map T."""
     s = np.asarray(s, dtype=np.int8)
-    eng = engine if engine is not None else FieldEngine(g, p, mode="direct")
+    eng = engine if engine is not None else FieldEngine(g, p)
     return _sign(eng.fields(s))
 
 
@@ -147,7 +141,7 @@ def sequential_sweep(g: Graph, p: PatternSet, s, engine: FieldEngine | None = No
     """One full sweep of the sequential map S = T_n ... T_2 T_1: each vertex
     updates in index order seeing all earlier updates."""
     out = np.array(s, dtype=np.int8)
-    eng = engine if engine is not None else FieldEngine(g, p, mode="direct")
+    eng = engine if engine is not None else FieldEngine(g, p)
     for i in range(g.n):
         out[i] = 1 if eng.field_at(out, i) >= 0 else -1
     return out
@@ -155,15 +149,69 @@ def sequential_sweep(g: Graph, p: PatternSet, s, engine: FieldEngine | None = No
 
 def energy_S(g: Graph, p: PatternSet, s, engine: FieldEngine | None = None) -> float:
     s = np.asarray(s, dtype=np.int8)
-    eng = engine if engine is not None else FieldEngine(g, p, mode="direct")
+    eng = engine if engine is not None else FieldEngine(g, p)
     h = eng.fields(s)
     return -float(np.dot(s.astype(np.int64), h)) / g.n
 
 
 def energy_T(g: Graph, p: PatternSet, s, engine: FieldEngine | None = None) -> float:
     s = np.asarray(s, dtype=np.int8)
-    eng = engine if engine is not None else FieldEngine(g, p, mode="direct")
+    eng = engine if engine is not None else FieldEngine(g, p)
     return -float(np.abs(eng.fields(s)).sum()) / g.n
+
+
+@dataclass(frozen=True)
+class BlockOutcome:
+    """Per-column result of run_block.  Column c ended as terminal[c]
+    after steps[c] applications of T, in state final[:, c]; energy[k, c]
+    is H_T of the state column c held before application k + 1, and nan
+    once the column has retired."""
+
+    terminal: np.ndarray    # (B,) "fixed_point" | "two_cycle" | "step_cap"
+    steps: np.ndarray       # (B,) int64
+    final: np.ndarray       # (n, B) int8
+    energy: np.ndarray      # (max steps, B) float64
+
+
+def run_block(g: Graph, p: PatternSet, states, k_max: int,
+              engine: FieldEngine | None = None) -> BlockOutcome:
+    """Iterate the parallel map T on every column of the (n, B) block
+    states at once.  A column retires on a fixed point (checked first), a
+    2-cycle, or the step cap, exactly as run_dynamics would end it; the
+    live columns share one field evaluation per step."""
+    s = np.array(states, dtype=np.int8)
+    if s.ndim != 2 or s.shape[0] != g.n:
+        raise ValueError("states must be an (n, B) block")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    eng = engine if engine is not None else FieldEngine(g, p)
+    b = s.shape[1]
+    terminal = np.full(b, "step_cap", dtype="U11")
+    steps = np.full(b, k_max, dtype=np.int64)
+    final = s.copy()
+    energy = []
+    live = np.arange(b)
+    prev = None
+    for k in range(1, k_max + 1):
+        if not live.size:
+            break
+        h = eng.fields(s)
+        row = np.full(b, np.nan)
+        row[live] = -np.abs(h).sum(axis=0) / g.n
+        energy.append(row)
+        nxt = _sign(h)
+        fixed = (nxt == s).all(axis=0)
+        done = fixed if prev is None else fixed | (nxt == prev).all(axis=0)
+        if done.any():
+            idx = live[done]
+            terminal[idx] = np.where(fixed[done], "fixed_point", "two_cycle")
+            steps[idx] = k
+            final[:, idx] = nxt[:, done]
+            keep = ~done
+            live, s, nxt = live[keep], s[:, keep], nxt[:, keep]
+        prev, s = s, nxt
+    final[:, live] = s
+    return BlockOutcome(terminal, steps, final, np.array(energy).reshape(len(energy), b))
 
 
 def run_dynamics(g: Graph, p: PatternSet, s0, mode: str = "parallel",
@@ -174,7 +222,7 @@ def run_dynamics(g: Graph, p: PatternSet, s0, mode: str = "parallel",
     steps counts update applications performed, so a start that is already
     a fixed point reports steps=1 (the detecting application).  The energy
     trace holds H_T (parallel) or H_S (sequential) for every visited state
-    including the start.
+    including the start.  Parallel mode is run_block on a one-column block.
     """
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -186,24 +234,19 @@ def run_dynamics(g: Graph, p: PatternSet, s0, mode: str = "parallel",
     if not np.all(np.abs(s) == 1):
         raise ValueError("state entries must be +-1")
     eng = engine if engine is not None else FieldEngine(g, p)
-    trace = []
     if mode == "parallel":
-        prev = None
-        for k in range(1, k_max + 1):
-            h = eng.fields(s)
-            trace.append(-float(np.abs(h).sum()) / g.n)
-            nxt = _sign(h)
-            if np.array_equal(nxt, s):
-                trace.append(trace[-1])
-                return DynamicsOutcome("fixed_point", k, nxt, np.asarray(trace))
-            if prev is not None and np.array_equal(nxt, prev):
-                trace.append(trace[-2])
-                return DynamicsOutcome("two_cycle", k, nxt, np.asarray(trace))
-            prev = s
-            s = nxt
-        trace.append(-float(np.abs(eng.fields(s)).sum()) / g.n)
-        return DynamicsOutcome("step_cap", k_max, s, np.asarray(trace))
+        out = run_block(g, p, s[:, np.newaxis], k_max, engine=eng)
+        terminal, steps, final = str(out.terminal[0]), int(out.steps[0]), out.final[:, 0]
+        trace = out.energy[:steps, 0].tolist()
+        if terminal == "fixed_point":
+            trace.append(trace[-1])
+        elif terminal == "two_cycle":
+            trace.append(trace[-2])
+        else:
+            trace.append(-float(np.abs(eng.fields(final)).sum()) / g.n)
+        return DynamicsOutcome(terminal, steps, final, np.asarray(trace))
     # sequential
+    trace = []
     for k in range(1, k_max + 1):
         trace.append(-float(np.dot(s.astype(np.int64), eng.fields(s))) / g.n)
         nxt = sequential_sweep(g, p, s, engine=eng)
@@ -246,7 +289,7 @@ def stability_margin(g: Graph, p: PatternSet, mu: int,
     degree."""
     if not 0 <= mu < p.m_patterns:
         raise ValueError("pattern index out of range")
-    eng = engine if engine is not None else FieldEngine(g, p, mode="direct")
+    eng = engine if engine is not None else FieldEngine(g, p)
     xi = p.pattern(mu)
     h = eng.fields(xi)
     return int((xi.astype(np.int64) * h).min())

@@ -202,12 +202,46 @@ def test_recovery_rate_deterministic_and_bounded():
     assert a.mean_steps <= 4.0
 
 
-def test_recovery_rate_worker_count_invariant():
-    g = graphs.gen_complete(24)
-    p = hopfield.sample_patterns(2, 24, 3)
-    serial = capacity.recovery_rate(g, p, 0.1, 8, trials=20, seed=11, workers=1)
-    pooled = capacity.recovery_rate(g, p, 0.1, 8, trials=20, seed=11, workers=2)
-    assert serial == pooled
+def test_recovery_rate_matches_per_trial_loop():
+    # the block run must reproduce, trial by trial, basin_trial on the
+    # pattern and corruption drawn from SeedSequence((seed, t)); an
+    # overloaded memory and a tight cap mix in 2-cycles and step caps
+    cases = ((graphs.gen_complete(24), 2, 0.1, 8),
+             (graphs.gen_complete(40), 12, 0.2, 3),
+             (graphs.gen_complete(30), 25, 0.3, 2),
+             (graphs.gen_erdos_renyi(40, 0.3, 2), 3, 0.2, 4))
+    for g, m, rho, k_max in cases:
+        n = g.n
+        p = hopfield.sample_patterns(m, n, 3)
+        est = capacity.recovery_rate(g, p, rho, k_max, trials=30, seed=11)
+        runs = []
+        for t in range(30):
+            rng = np.random.default_rng(capacity._trial_seed(11, t))
+            mu = int(rng.integers(p.m_patterns))
+            runs.append(capacity.basin_trial(g, p, mu, rho, k_max, rng))
+        wins = [r for r in runs if r.recovered]
+        assert est.successes == len(wins)
+        if wins:
+            assert est.mean_steps == sum(r.steps for r in wins) / len(wins)
+        else:
+            assert math.isnan(est.mean_steps)
+
+
+def test_capacity_search_builds_one_engine_per_m(monkeypatch):
+    built = []
+    init = hopfield.FieldEngine.__init__
+
+    def counting_init(self, g, p):
+        built.append(p.m_patterns)
+        init(self, g, p)
+
+    monkeypatch.setattr(hopfield.FieldEngine, "__init__", counting_init)
+    # threshold 0.9 with 30 trials straddles often enough to force 4x
+    # re-measures, which must reuse the engine of their M
+    est = capacity.capacity_search(graphs.gen_complete(48), rho=0.05, k_max=8,
+                                   trials=30, threshold=0.9, seed=13)
+    assert any(c.trials == 120 for c in est.curve)
+    assert sorted(built) == sorted(c.m for c in est.curve)
 
 
 def test_recovery_rate_zero_success_mean_steps_nan():

@@ -58,6 +58,7 @@ def test_config_echo_round_trip(tmp_path):
     ns = cli.build_parser().parse_args(argv)
     rebuilt = cli.config_from_args(ns).to_dict()
     assert echoed == rebuilt
+    assert "worker_count" not in echoed
 
 
 def test_dynamics_report(tmp_path):
@@ -210,14 +211,6 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert run_cli("spectrum", "--graph", str(gpath), "--seed", "5",
                    "--out", str(out)) == 0
     assert cli.parse_config_echo(out.read_text())["master_seed"] == 5
-
-
-def test_deterministic_order_forces_single_worker(tmp_path):
-    gpath = gen_graph_file(tmp_path)
-    out = tmp_path / "s.json"
-    assert run_cli("spectrum", "--graph", str(gpath), "--workers", "4",
-                   "--deterministic-order", "--out", str(out)) == 0
-    assert cli.parse_config_echo(out.read_text())["worker_count"] == 1
 
 
 def test_reproduce_complete_suite(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphmem import graphs, hopfield
 
@@ -45,40 +46,30 @@ def test_pattern_bits_are_frozen():
         p.bits[0, 0] = 1
 
 
-@pytest.mark.parametrize("mode", ["direct", "cached"])
-def test_fields_match_brute_force(mode):
+# density 1 forces the dense storage (8 n^2 <= 12 nnz), density <= 0.4
+# forces CSR
+@pytest.mark.parametrize("storage,density", [("dense", (1.0, 1.0)),
+                                             ("csr", (0.1, 0.4))],
+                         ids=["dense", "csr"])
+def test_fields_match_brute_force(storage, density):
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = int(rng.integers(3, 30))
-        g = graphs.gen_erdos_renyi(n, float(rng.uniform(0.1, 0.9)),
+        g = graphs.gen_erdos_renyi(n, float(rng.uniform(*density)),
                                    int(rng.integers(2 ** 31)))
         p = hopfield.sample_patterns(int(rng.integers(1, 6)), n,
                                      int(rng.integers(2 ** 31)))
-        eng = hopfield.FieldEngine(g, p, mode=mode)
+        eng = hopfield.FieldEngine(g, p)
+        assert eng.storage == storage
         s = random_state(rng, n)
         want = brute_fields(g, p, s)
-        assert np.array_equal(eng.fields(s), want)
+        got = eng.fields(s)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
         i = int(rng.integers(n))
         assert eng.field_at(s, i) == want[i]
-
-
-def test_engine_modes_agree():
-    rng = np.random.default_rng(6)
-    g = graphs.gen_erdos_renyi(40, 0.3, 8)
-    p = hopfield.sample_patterns(7, 40, 1)
-    d = hopfield.FieldEngine(g, p, mode="direct")
-    c = hopfield.FieldEngine(g, p, mode="cached")
-    for _ in range(25):
-        s = random_state(rng, 40)
-        assert np.array_equal(d.fields(s), c.fields(s))
-
-
-def test_engine_auto_mode_switches_on_pattern_count():
-    g = graphs.gen_complete(10)
-    few = hopfield.FieldEngine(g, hopfield.sample_patterns(2, 10, 0))
-    many = hopfield.FieldEngine(g, hopfield.sample_patterns(70, 10, 0))
-    assert few.mode == "direct"
-    assert many.mode == "cached"
+        block = np.stack([random_state(rng, n) for _ in range(4)], axis=1)
+        assert np.array_equal(eng.fields(block), brute_weights(g, p) @ block)
 
 
 def test_engine_rejects_mismatched_sizes():
@@ -89,10 +80,11 @@ def test_engine_rejects_mismatched_sizes():
 
 
 def test_local_field_singleton():
-    g = graphs.gen_complete(12)
-    p = hopfield.sample_patterns(3, 12, 2)
+    # field_at on one vertex, on both storages
     s = random_state(np.random.default_rng(0), 12)
-    assert hopfield.local_field(g, p, s, 5) == brute_fields(g, p, s)[5]
+    for g in (graphs.gen_complete(12), graphs.gen_erdos_renyi(12, 0.3, 1)):
+        p = hopfield.sample_patterns(3, 12, 2)
+        assert hopfield.FieldEngine(g, p).field_at(s, 5) == brute_fields(g, p, s)[5]
 
 
 def test_zero_field_resolves_to_plus_one():
@@ -272,3 +264,84 @@ def test_stability_margin_flags_unstable_pattern():
     stable = np.array_equal(hopfield.parallel_step(g, p, p.pattern(0)), p.pattern(0))
     # positive margin certifies the pattern is a strict fixed point
     assert (m > 0) <= stable
+
+
+def brute_parallel(g, p, s0, k_max):
+    """Reference loop for the parallel map on dense int64 couplings:
+    (terminal, steps, final, energy trace)."""
+    w = brute_weights(g, p)
+    s = np.asarray(s0, dtype=np.int64)
+    prev = None
+    trace = []
+    for k in range(1, k_max + 1):
+        h = w @ s
+        trace.append(-float(np.abs(h).sum()) / g.n)
+        nxt = np.where(h >= 0, 1, -1)
+        if np.array_equal(nxt, s):
+            return "fixed_point", k, nxt, trace + [trace[-1]]
+        if prev is not None and np.array_equal(nxt, prev):
+            return "two_cycle", k, nxt, trace + [trace[-2]]
+        prev, s = s, nxt
+    return "step_cap", k_max, s, trace + [-float(np.abs(w @ s).sum()) / g.n]
+
+
+@st.composite
+def block_cases(draw):
+    """A small graph from one of the generators, patterns up to well past
+    capacity, a block of starts, and a step cap small enough to bind."""
+    kind = draw(st.sampled_from(["complete", "gnp", "chunglu", "twoclique"]))
+    n = draw(st.integers(4, 24))
+    seed = draw(st.integers(0, 2 ** 31))
+    if kind == "complete":
+        g = graphs.gen_complete(n)
+    elif kind == "gnp":
+        g = graphs.gen_erdos_renyi(n, draw(st.floats(0.05, 1.0)), seed)
+    elif kind == "chunglu":
+        base = np.sort(np.random.default_rng(seed).uniform(0.5, 0.9 * np.sqrt(n), n))
+        g = graphs.gen_chung_lu(graphs.make_weights(base[::-1]), seed)
+    else:
+        g = graphs.gen_two_cliques(draw(st.integers(2, n - 2)), n,
+                                   bridged=draw(st.booleans()))
+    m = draw(st.integers(1, 2 * n))
+    p = hopfield.sample_patterns(m, n, seed + 1)
+    b = draw(st.integers(1, 6))
+    rng = np.random.default_rng(seed + 2)
+    starts = np.stack([random_state(rng, n) for _ in range(b)], axis=1)
+    k_max = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 40)))
+    return g, p, starts, k_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_cases())
+def test_run_block_columns_match_single_runs(case):
+    g, p, starts, k_max = case
+    out = hopfield.run_block(g, p, starts, k_max)
+    for c in range(starts.shape[1]):
+        single = hopfield.run_dynamics(g, p, starts[:, c], k_max=k_max)
+        assert out.terminal[c] == single.terminal
+        assert out.steps[c] == single.steps
+        assert np.array_equal(out.final[:, c], single.final)
+        assert np.array_equal(out.energy[:single.steps, c], single.energy_trace[:-1])
+        terminal, steps, final, trace = brute_parallel(g, p, starts[:, c], k_max)
+        assert (single.terminal, single.steps) == (terminal, steps)
+        assert np.array_equal(single.final, final)
+        assert single.energy_trace.tolist() == trace
+
+
+def test_run_block_reaches_every_terminal():
+    # the two-vertex graph with one all-ones pattern: (1, 1) is fixed,
+    # (1, -1) swaps forever, and a cap of 1 stops (-1, 1) before the cycle
+    # closes
+    g = graphs.gen_complete(2)
+    p = hopfield.PatternSet(np.array([[1, 1]], dtype=np.int8))
+    starts = np.array([[1, 1, -1], [1, -1, 1]], dtype=np.int8)
+    out = hopfield.run_block(g, p, starts, k_max=5)
+    assert out.terminal.tolist() == ["fixed_point", "two_cycle", "two_cycle"]
+    assert out.steps.tolist() == [1, 2, 2]
+    capped = hopfield.run_block(g, p, starts, k_max=1)
+    assert capped.terminal.tolist() == ["fixed_point", "step_cap", "step_cap"]
+    assert np.array_equal(capped.final[:, 1:], [[-1, 1], [1, -1]])
+    with pytest.raises(ValueError):
+        hopfield.run_block(g, p, starts[:1], k_max=5)
+    with pytest.raises(ValueError):
+        hopfield.run_block(g, p, starts, k_max=0)
