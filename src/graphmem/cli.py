@@ -388,8 +388,9 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int,
         h1 = spectral_mod.check_h1(s, d, 0.5)
         h2 = spectral_mod.check_h2(s, g.n, 1.0)
         cseed = int(np.random.SeedSequence(entropy=(seed, n, 1)).generate_state(1)[0])
-        est = capacity_mod.capacity_search(g, rho=rho, k_max=None, trials=trials,
-                                           threshold=threshold, seed=cseed)
+        est = capacity_mod.capacity_search(
+            g, rho=rho, k_max=capacity_mod.default_k_max(s, g.n), trials=trials,
+            threshold=threshold, seed=cseed)
         steps = [c.mean_steps for c in est.curve
                  if c.m == est.m_hat and not math.isnan(c.mean_steps)]
         rows.append({

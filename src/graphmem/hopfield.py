@@ -66,14 +66,17 @@ class FieldEngine:
     The couplings J_ij = a_ij sum_mu xi_i^mu xi_j^mu are built once, in
     the storage the input calls for:
 
-    - "dense": an n x n float64 array, used when it takes no more memory
-      than the CSR weights it replaces (8 n^2 <= 12 nnz, as on K_n).  J is
-      Xi^T Xi masked by the adjacency, and fields come from one GEMM.  The
-      float arithmetic is exact: every partial sum is an integer of
-      magnitude at most M * max degree < 2^31 (checked below), far inside
-      the 2^53 range of float64 integers.
-    - "csr": int64 per-arc weights aligned with the graph's CSR arrays,
-      used otherwise.
+    - "dense": an n x n float64 array, used on near-complete graphs
+      (8 n^2 <= 12 nnz, as on K_n).  J is Xi^T Xi masked by the
+      adjacency, and fields come from one GEMM.  The float arithmetic is
+      exact: every partial sum is an integer of magnitude at most
+      M * max degree < 2^31 (checked below), far inside the 2^53 range of
+      float64 integers.
+    - "csr": int32 per-arc weights aligned with the graph's CSR arrays,
+      used otherwise.  The sparse product runs in int32, which holds
+      every partial sum exactly under the same 2^31 guard, so the state
+      block is not widened to int64 before the product; only the result
+      is.
 
     fields() accepts one state (n,) or a block of states (n, B) and
     returns exact int64 fields of the same shape.
@@ -103,19 +106,19 @@ class FieldEngine:
         """Per-arc pattern products, aligned with g.indices."""
         bits = self.p.bits
         src, dst = edge_endpoints(self.g)
-        out = np.empty(dst.size, dtype=np.int64)
+        out = np.empty(dst.size, dtype=np.int32)
         chunk = max(1, int(4e6 // max(bits.shape[0], 1)))
         for lo in range(0, dst.size, chunk):
             hi = min(lo + chunk, dst.size)
             prod = bits[:, src[lo:hi]] * bits[:, dst[lo:hi]]
-            out[lo:hi] = prod.sum(axis=0, dtype=np.int64)
+            out[lo:hi] = prod.sum(axis=0, dtype=np.int32)
         return out
 
     def fields(self, s: np.ndarray) -> np.ndarray:
         """h(s) for a state (n,) or each column of a block (n, B), exact int64."""
         if self.storage == "dense":
             return (self._j @ s.astype(np.float64)).astype(np.int64)
-        return self._j @ s.astype(np.int64)
+        return (self._j @ s.astype(np.int32)).astype(np.int64)
 
     def field_at(self, s: np.ndarray, i: int) -> int:
         """h_i(s) for a single vertex."""

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ def load_lines(tmp_path, text):
     return graphs.load_edge_list(path)
 
 
+SRC = str(Path(graphs.__file__).resolve().parents[1])
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -110,10 +115,60 @@ def test_summary_invariants_hold():
 
 
 def test_unreachable_tolerance_raises():
+    # 1e-18 is below float64 resolution: no residual can reach it
     g = graphs.gen_erdos_renyi(100, 0.3, 9)
     with pytest.raises(spectral.SpectralSolverError) as exc:
-        spectral.spectrum_summary(g, tol=1e-15, method="iterative")
+        spectral.spectrum_summary(g, tol=1e-18, method="iterative")
     assert exc.value.residual > 0.0
+
+
+def test_arpack_non_convergence_is_a_solver_error(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def stalled(a, k, **kwargs):
+        raise sla.ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((a.shape[0], 0)))
+
+    monkeypatch.setattr(sla, "eigsh", stalled)
+    g = graphs.gen_erdos_renyi(100, 0.3, 9)
+    with pytest.raises(spectral.SpectralSolverError) as exc:
+        spectral.spectrum_summary(g, method="iterative")
+    assert exc.value.residual == math.inf
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_iterative_on_small_complete_graphs(n):
+    # K_n: n - 1 once and -1 with multiplicity n - 1; K_1 has no edges
+    s = spectral.spectrum_summary(graphs.gen_complete(n), method="iterative")
+    assert s.method == "iterative"
+    top, rest = (n - 1, -1.0) if n > 1 else (0.0, 0.0)
+    assert s.lambda1 == pytest.approx(top, abs=1e-9)
+    assert s.lambda2 == pytest.approx(rest, abs=1e-9)
+    assert s.lambdaN == pytest.approx(rest, abs=1e-9)
+    assert s.gap == pytest.approx(top - abs(rest), abs=1e-9)
+
+
+def test_iterative_on_large_sparse_graph():
+    # the auto route at n > 4096; G(20000, 0.002) has about 400k arcs
+    g = graphs.gen_erdos_renyi(20_000, 0.002, 3)
+    s = spectral.spectrum_summary(g)
+    assert s.method == "iterative"
+    assert s.lambda1 >= s.lambda2 >= s.lambdaN
+    assert s.kappa == max(abs(s.lambda2), abs(s.lambdaN))
+    assert s.gap == s.lambda1 - s.kappa
+    assert 0.0 <= s.residual <= 1e-8 * s.lambda1
+    # lambda1 sits near the mean degree 40, the bulk edge near 2 sqrt(40)
+    assert 39.0 < s.lambda1 < 43.0
+    assert 0.0 < s.kappa < 15.0
+
+
+def test_dense_route_does_not_load_the_sparse_eigensolver():
+    code = ("import sys, graphmem\n"
+            "graphmem.spectrum_summary(graphmem.gen_complete(50))\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
 
 
 def test_bad_method_rejected():
@@ -213,6 +268,19 @@ def test_subgraph_bounds_random_sets_never_violate():
         if k % 20 == 0:
             assert rep.lambda_h == pytest.approx(
                 brute_crossing_top_eig(g, J, I), abs=1e-8)
+
+
+def test_subgraph_lambda_h_on_small_supports():
+    # crossing graphs down to a single edge, checked against dense solves
+    rng = np.random.default_rng(34)
+    g = graphs.gen_erdos_renyi(12, 0.4, 5)
+    s = spectral.spectrum_summary(g)
+    for _ in range(100):
+        I = rng.choice(12, size=int(rng.integers(1, 4)), replace=False)
+        J = rng.choice(12, size=int(rng.integers(1, 4)), replace=False)
+        rep = spectral.subgraph_bounds(g, s, I, J)
+        assert rep.lambda_h == pytest.approx(
+            brute_crossing_top_eig(g, J, I), abs=1e-9)
 
 
 def test_subgraph_bounds_validates_sets():
