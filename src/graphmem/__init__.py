@@ -8,7 +8,6 @@ from .graphs import (
     InfeasibleWeightsError,
     WeightSequence,
     adjacency_matrix,
-    complement,
     degree_stats,
     edge_endpoints,
     gen_chung_lu,
@@ -43,7 +42,6 @@ from .hopfield import (
     run_dynamics,
     sample_patterns,
     sequential_sweep,
-    stability_margin,
 )
 from .bounds import (
     DegreeTailReport,
@@ -86,7 +84,7 @@ __all__ = [
     "InfeasibleWeightsError", "MgfReport", "PatternSet", "RateEstimate",
     "SpectralSolverError", "SpectralSummary", "StepPrediction", "TailReport",
     "TheoryParams", "TrialResult", "WeightSequence", "adjacency_matrix",
-    "basin_trial", "capacity_search", "check_h1", "check_h2", "complement",
+    "basin_trial", "capacity_search", "check_h1", "check_h2",
     "corrupt", "default_k_max", "degree_stats", "degree_tail_experiment",
     "edge_endpoints", "energy_S", "energy_T", "entropy", "f_rho",
     "gen_chung_lu", "gen_complete", "gen_erdos_renyi", "gen_two_cliques",
@@ -95,6 +93,6 @@ __all__ = [
     "predict_steps", "quadratic_form_tail", "recovery_rate", "rel_entropy",
     "reproduce_corollaries", "rho_zero", "run", "run_dynamics",
     "sample_patterns", "save_edge_list", "sequential_sweep",
-    "spectrum_summary", "stability_margin", "subgraph_bounds", "tail_bound",
+    "spectrum_summary", "subgraph_bounds", "tail_bound",
     "theoretical_capacity", "validate_graph", "wilson_interval",
 ]

@@ -19,6 +19,8 @@ from .spectral import SpectralSummary
 
 # 2^16 states is the largest full enumeration worth doing
 _EXHAUSTIVE_LIMIT = 16
+# batch means behind the Monte Carlo interval of mgf_check
+_MGF_BATCHES = 100
 
 
 def entropy(x: float) -> float:
@@ -173,11 +175,11 @@ def quadratic_form_tail(g: Graph, s: SpectralSummary, y_grid, samples: int,
 
 
 def mgf_check(g: Graph, s: SpectralSummary, t_grid, samples: int, seed,
-              z: float = 1.959964, batches: int = 100) -> MgfReport:
+              z: float = 1.959964) -> MgfReport:
     """Compare E[exp(tS)] on a grid against the analytic bound.
 
     Every t must satisfy 0 <= t < 1/lambda1.  The Monte Carlo path gets its
-    confidence interval from batch means (default 100 batches).
+    confidence interval from the means of 100 batches.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if samples < 1000:
@@ -193,18 +195,16 @@ def mgf_check(g: Graph, s: SpectralSummary, t_grid, samples: int, seed,
         emp = np.column_stack([exact, exact, exact])
         violations = int(np.count_nonzero(exact > analytic))
         return MgfReport(t_grid, emp, analytic, violations, "exhaustive", int(vals.size))
-    if samples < batches:
-        raise ValueError("need at least one sample per batch")
     rng = np.random.default_rng(seed)
     vals = _sample_form(g, samples, rng)
-    use = (samples // batches) * batches
-    per_batch = vals[:use].reshape(batches, -1)
+    use = (samples // _MGF_BATCHES) * _MGF_BATCHES
+    per_batch = vals[:use].reshape(_MGF_BATCHES, -1)
     rows = []
     violations = 0
     for t, bound in zip(t_grid, analytic):
         means = np.exp(t * per_batch).mean(axis=1)
         est = float(means.mean())
-        half = z * float(means.std(ddof=1)) / math.sqrt(batches)
+        half = z * float(means.std(ddof=1)) / math.sqrt(_MGF_BATCHES)
         rows.append((est, est - half, est + half))
         if est - half > bound:
             violations += 1

@@ -255,7 +255,7 @@ def _trial_seed(master_seed: int, index: int) -> np.random.SeedSequence:
 
 
 def basin_trial(g: Graph, p: PatternSet, mu: int, rho: float, k_max: int,
-                seed, engine: FieldEngine | None = None) -> TrialResult:
+                seed) -> TrialResult:
     """Corrupt pattern mu by exactly floor(rho*n) uniform flips, run the
     parallel dynamics, and report exact-recovery success."""
     if not 0 <= mu < p.m_patterns:
@@ -264,17 +264,17 @@ def basin_trial(g: Graph, p: PatternSet, mu: int, rho: float, k_max: int,
         raise ValueError("rho must lie in [0, 1/2)")
     target = p.pattern(mu)
     start = corrupt(target, rho, seed)
-    out = run_dynamics(g, p, start, mode="parallel", k_max=k_max, engine=engine)
+    out = run_dynamics(g, p, start, mode="parallel", k_max=k_max)
     recovered = out.terminal == "fixed_point" and np.array_equal(out.final, target)
     return TrialResult(recovered=recovered, steps=out.steps, terminal=out.terminal,
                        target_mu=mu, rho=rho, final_distance=hamming(out.final, target))
 
 
 def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
-                  trials: int, seed: int, z: float = 1.959964,
+                  trials: int, seed: int,
                   engine: FieldEngine | None = None) -> RateEstimate:
     """Success fraction of basin_trial over uniformly drawn (mu, corruption)
-    pairs, with a Wilson interval.
+    pairs, with a 95% Wilson interval.
 
     Trial t draws its pattern and corruption from its own generator, a pure
     function of (seed, t), exactly as basin_trial would; all starts then
@@ -290,12 +290,13 @@ def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
         rng = np.random.default_rng(_trial_seed(seed, t))
         mus[t] = rng.integers(p.m_patterns)
         starts[:, t] = corrupt(p.pattern(mus[t]), rho, rng)
-    out = run_block(g, p, starts, k_max, engine=engine)
+    eng = engine if engine is not None else FieldEngine(g, p)
+    out = run_block(eng, starts, k_max)
     recovered = ((out.terminal == "fixed_point")
                  & (out.final == p.bits[mus].T).all(axis=0))
     succ = int(recovered.sum())
     step_sum = int(out.steps[recovered].sum())
-    lo, hi = wilson_interval(succ, trials, z)
+    lo, hi = wilson_interval(succ, trials)
     mean_steps = step_sum / succ if succ else math.nan
     return RateEstimate(rate=succ / trials, ci_lo=lo, ci_hi=hi,
                         successes=succ, trials=trials, mean_steps=mean_steps)
@@ -318,12 +319,11 @@ def _spot_trial(g: Graph, p: PatternSet, rho: float, k_max: int,
 
 
 def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
-                    threshold: float, seed: int, z: float = 1.959964,
-                    m_cap: int | None = None) -> CapacityEstimate:
+                    threshold: float, seed: int) -> CapacityEstimate:
     """Largest pattern count M with recovery rate >= threshold.
 
-    Doubles M until the rate drops below the threshold (exponential
-    bracket), then bisects.  A rate whose confidence interval straddles
+    Doubles M, up to max(4, 4n), until the rate drops below the threshold
+    (exponential bracket), then bisects.  A rate whose 95% interval straddles
     the threshold is re-measured once with 4x trials.  Each M must also
     pass the structured spot trial; a failed spot check counts as a fail
     regardless of the uniform rate.  The couplings for each M are built
@@ -337,8 +337,7 @@ def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
         raise ValueError("trials must be >= 1")
     if k_max is None:
         k_max = default_k_max(spectrum_summary(g), g.n)
-    if m_cap is None:
-        m_cap = max(4, 4 * g.n)
+    m_cap = max(4, 4 * g.n)
 
     curve: dict[int, CurvePoint] = {}
 
@@ -347,10 +346,10 @@ def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
         p = sample_patterns(m, g.n, pat_seed)
         engine = FieldEngine(g, p)
         rate_seed = int(np.random.SeedSequence(entropy=(seed, m, 2)).generate_state(1)[0])
-        est = recovery_rate(g, p, rho, k_max, trials, rate_seed, z=z, engine=engine)
+        est = recovery_rate(g, p, rho, k_max, trials, rate_seed, engine=engine)
         if est.ci_lo <= threshold <= est.ci_hi:
             retry_seed = int(np.random.SeedSequence(entropy=(seed, m, 3)).generate_state(1)[0])
-            est = recovery_rate(g, p, rho, k_max, 4 * trials, retry_seed, z=z,
+            est = recovery_rate(g, p, rho, k_max, 4 * trials, retry_seed,
                                 engine=engine)
         spot_ok = _spot_trial(g, p, rho, k_max, engine)
         curve[m] = CurvePoint(m=m, trials=est.trials, successes=est.successes,

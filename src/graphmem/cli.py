@@ -279,13 +279,11 @@ def _cmd_verify(config: ExperimentConfig) -> int:
             pats = hopfield_mod.sample_patterns(m_pat, g.n, rng)
             eng = hopfield_mod.FieldEngine(g, pats)
             s0 = (rng.integers(0, 2, g.n, dtype=np.int8) * 2 - 1)
-            e0s = hopfield_mod.energy_S(g, pats, s0, engine=eng)
-            e0t = hopfield_mod.energy_T(g, pats, s0, engine=eng)
-            swept = hopfield_mod.sequential_sweep(g, pats, s0, engine=eng)
-            if hopfield_mod.energy_S(g, pats, swept, engine=eng) > e0s:
+            swept = hopfield_mod.sequential_sweep(eng, s0)
+            if hopfield_mod.energy_S(eng, swept) > hopfield_mod.energy_S(eng, s0):
                 violations += 1
-            stepped = hopfield_mod.parallel_step(g, pats, s0, engine=eng)
-            if hopfield_mod.energy_T(g, pats, stepped, engine=eng) > e0t:
+            stepped = hopfield_mod.parallel_step(eng, s0)
+            if hopfield_mod.energy_T(eng, stepped) > hopfield_mod.energy_T(eng, s0):
                 violations += 1
         detail = {"trials": pr["trials"]}
     elif check == "subgraph":
@@ -345,7 +343,8 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int,
     (powerlaw).  Suite hypotheses are enforced up front: gnp needs
     p >= c0 (log N)^2 / N at every size, powerlaw needs beta > 3 and
     d > c_pl sqrt(m_bar) (log N)^(3/2) (or m_bar > (log N)^4 with the
-    weaker d > c_pl sqrt(m_bar) log N).
+    weaker d > c_pl sqrt(m_bar) log N) and a feasible weight sequence,
+    max(w)^2 < sum(w).  Every size is checked before any search runs.
     """
     if len(sizes) < 3:
         raise ValueError("need a ladder of at least 3 sizes")
@@ -358,6 +357,7 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int,
                 raise ValueError(
                     f"gnp suite needs p >= c0 (log N)^2/N; at N={n} that is "
                     f"{floor:.4g} > p={p}")
+    weights = {}
     if suite == "powerlaw":
         if beta <= 3.0:
             raise ValueError("powerlaw suite requires beta > 3 (the capacity "
@@ -370,6 +370,7 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int,
                 raise ValueError(
                     f"powerlaw suite needs d > c sqrt(m_bar) (log N)^(3/2) or "
                     f"the m_bar >> (log N)^4 branch; violated at N={n}")
+            weights[n] = graphs_mod.powerlaw_weights(n, beta, davg, mbar)
     rows = []
     for n in sizes:
         gseed = int(np.random.SeedSequence(entropy=(seed, n, 0)).generate_state(1)[0])
@@ -380,8 +381,7 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int,
             g = graphs_mod.gen_erdos_renyi(n, p, gseed)
             predictor = p * n / math.log(n)
         else:
-            w = graphs_mod.powerlaw_weights(n, beta, davg, mbar)
-            g = graphs_mod.gen_chung_lu(w, gseed)
+            g = graphs_mod.gen_chung_lu(weights[n], gseed)
             predictor = davg ** 2 / (mbar * math.log(n))
         s = spectral_mod.spectrum_summary(g)
         d = graphs_mod.degree_stats(g)

@@ -162,22 +162,20 @@ def gen_complete(n: int) -> Graph:
     return Graph(n=n, indptr=indptr, indices=indices, degrees=degrees)
 
 
-def gen_erdos_renyi(n: int, p: float, seed, method: str = "auto") -> Graph:
+def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
     """Erdos-Renyi graph G(n, p): each of the n-choose-2 pairs is an edge
     independently with probability p.
 
     Parameters
     ----------
     n : int
-        Vertex count, >= 1.
+        Vertex count, >= 1.  Up to 10^4 vertices one uniform is drawn per
+        candidate pair; above, a geometric-skipping sampler with the same
+        edge distribution runs in O(n + |E|) time.
     p : float
         Edge probability in [0, 1].
     seed : int or numpy Generator
         Randomness source; a given int seed fixes the graph.
-    method : str
-        "pairwise" draws one uniform per candidate pair, "skip" uses a
-        geometric-skipping sampler (same distribution, O(n + |E|) time),
-        "auto" picks by size.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -187,23 +185,20 @@ def gen_erdos_renyi(n: int, p: float, seed, method: str = "auto") -> Graph:
         return _from_pairs(n, np.empty(0, np.int64), np.empty(0, np.int64))
     if p == 1.0:
         return gen_complete(n)
-    if method == "auto":
-        method = "pairwise" if n <= _PAIRWISE_LIMIT else "skip"
     rng = np.random.default_rng(seed)
-    if method == "pairwise":
-        us, vs = [], []
-        for i in range(n - 1):
-            hits = np.nonzero(rng.random(n - 1 - i) < p)[0]
-            if hits.size:
-                us.append(np.full(hits.size, i, dtype=np.int64))
-                vs.append(hits.astype(np.int64) + i + 1)
-        u = np.concatenate(us) if us else np.empty(0, np.int64)
-        v = np.concatenate(vs) if vs else np.empty(0, np.int64)
-    elif method == "skip":
-        u, v = _gnp_skip_pairs(n, p, rng)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _from_pairs(n, u, v)
+    sampler = _gnp_pairwise_pairs if n <= _PAIRWISE_LIMIT else _gnp_skip_pairs
+    return _from_pairs(n, *sampler(n, p, rng))
+
+
+def _gnp_pairwise_pairs(n: int, p: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One uniform per candidate pair, row by row in lexicographic order."""
+    us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for i in range(n - 1):
+        hits = np.nonzero(rng.random(n - 1 - i) < p)[0]
+        if hits.size:
+            us.append(np.full(hits.size, i, dtype=np.int64))
+            vs.append(hits.astype(np.int64) + i + 1)
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def _gnp_skip_pairs(n: int, p: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -256,40 +251,36 @@ def powerlaw_weights(n: int, beta: float, d_avg: float, m_bar: float) -> WeightS
     return seq
 
 
-def gen_chung_lu(w: WeightSequence, seed, method: str = "auto") -> Graph:
+def gen_chung_lu(w: WeightSequence, seed) -> Graph:
     """Random graph G(w) with independent edges P[{i,j}] = rho * w_i * w_j.
 
     Self-pairs are never considered, so vertex i has expected degree
     w_i * (1 - rho * w_i), which is w_i up to the excluded self-loop term.
 
-    The "skip" method is the Miller-Hagberg sampler; it needs the weights
-    sorted non-increasing (guaranteed by WeightSequence) and runs in
-    O(n + |E|) expected time with the exact same edge distribution as the
-    per-pair method.
+    Up to 10^4 vertices one uniform is drawn per candidate pair; above,
+    the Miller-Hagberg sampler runs in O(n + |E|) expected time with the
+    exact same edge distribution.  It needs the weights sorted
+    non-increasing, which WeightSequence guarantees.
     """
     n = w.n
-    weights = w.weights
-    rho = w.rho_norm
-    if method == "auto":
-        method = "pairwise" if n <= _PAIRWISE_LIMIT else "skip"
     rng = np.random.default_rng(seed)
-    if method == "pairwise":
-        us, vs = [], []
-        for i in range(n - 1):
-            if weights[i] == 0.0:
-                break  # non-increasing: everything after is zero too
-            probs = rho * weights[i] * weights[i + 1:]
-            hits = np.nonzero(rng.random(n - 1 - i) < probs)[0]
-            if hits.size:
-                us.append(np.full(hits.size, i, dtype=np.int64))
-                vs.append(hits.astype(np.int64) + i + 1)
-        u = np.concatenate(us) if us else np.empty(0, np.int64)
-        v = np.concatenate(vs) if vs else np.empty(0, np.int64)
-    elif method == "skip":
-        u, v = _chung_lu_skip_pairs(weights, rho, rng)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _from_pairs(n, u, v)
+    sampler = _chung_lu_pairwise_pairs if n <= _PAIRWISE_LIMIT else _chung_lu_skip_pairs
+    return _from_pairs(n, *sampler(w.weights, w.rho_norm, rng))
+
+
+def _chung_lu_pairwise_pairs(weights, rho, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One uniform per candidate pair, row by row in lexicographic order."""
+    n = weights.size
+    us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for i in range(n - 1):
+        if weights[i] == 0.0:
+            break  # non-increasing: everything after is zero too
+        probs = rho * weights[i] * weights[i + 1:]
+        hits = np.nonzero(rng.random(n - 1 - i) < probs)[0]
+        if hits.size:
+            us.append(np.full(hits.size, i, dtype=np.int64))
+            vs.append(hits.astype(np.int64) + i + 1)
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def _chung_lu_skip_pairs(weights, rho, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -349,19 +340,6 @@ def degree_stats(g: Graph) -> DegreeStats:
         d_tilde=float((d.astype(np.float64) ** 2).sum() / total),
         edge_count=total // 2,
     )
-
-
-def complement(g: Graph) -> Graph:
-    """Complement graph: {i,j} is an edge iff it is not one in g.
-
-    Dense O(n^2) construction; meant for moderate n.
-    """
-    mask = np.zeros((g.n, g.n), dtype=bool)
-    src, dst = edge_endpoints(g)
-    mask[src, dst] = True
-    iu, iv = np.triu_indices(g.n, k=1)
-    missing = ~mask[iu, iv]
-    return _from_pairs(g.n, iu[missing].astype(np.int64), iv[missing].astype(np.int64))
 
 
 def edge_endpoints(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -433,7 +411,7 @@ def load_edge_list(path) -> Graph:
         raise EdgeListParseError(1, f"non-integer header field in {lines[0]!r}") from None
     if n < 0 or count < 0:
         raise EdgeListParseError(1, "negative header field")
-    seen: dict[tuple[int, int], int] = {}
+    seen: set[int] = set()     # i * n + j for every edge read so far
     u = np.empty(count, dtype=np.int64)
     v = np.empty(count, dtype=np.int64)
     k = 0
@@ -453,9 +431,12 @@ def load_edge_list(path) -> Graph:
             raise EdgeListParseError(lineno, f"self-loop {i}")
         if i > j:
             raise EdgeListParseError(lineno, f"vertices out of order in {raw!r}")
-        if (i, j) in seen:
-            raise EdgeListParseError(lineno, f"duplicate edge {i} {j} (first at line {seen[i, j]})")
-        seen[i, j] = lineno
+        key = i * n + j
+        if key in seen:
+            # edge k sits on line k + 2, after the header
+            first = int(np.flatnonzero((u[:k] == i) & (v[:k] == j))[0]) + 2
+            raise EdgeListParseError(lineno, f"duplicate edge {i} {j} (first at line {first})")
+        seen.add(key)
         if k >= count:
             raise EdgeListParseError(lineno, f"more than {count} edges declared in header")
         u[k] = i

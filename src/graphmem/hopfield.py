@@ -130,37 +130,31 @@ class FieldEngine:
 
 def _sign(h: np.ndarray) -> np.ndarray:
     # sgn(0) = +1 by convention
-    return np.where(h >= 0, 1, -1).astype(np.int8)
+    return np.where(h >= 0, np.int8(1), np.int8(-1))
 
 
-def parallel_step(g: Graph, p: PatternSet, s, engine: FieldEngine | None = None) -> np.ndarray:
+def parallel_step(engine: FieldEngine, s) -> np.ndarray:
     """One application of the parallel map T."""
-    s = np.asarray(s, dtype=np.int8)
-    eng = engine if engine is not None else FieldEngine(g, p)
-    return _sign(eng.fields(s))
+    return _sign(engine.fields(np.asarray(s, dtype=np.int8)))
 
 
-def sequential_sweep(g: Graph, p: PatternSet, s, engine: FieldEngine | None = None) -> np.ndarray:
+def sequential_sweep(engine: FieldEngine, s) -> np.ndarray:
     """One full sweep of the sequential map S = T_n ... T_2 T_1: each vertex
     updates in index order seeing all earlier updates."""
     out = np.array(s, dtype=np.int8)
-    eng = engine if engine is not None else FieldEngine(g, p)
-    for i in range(g.n):
-        out[i] = 1 if eng.field_at(out, i) >= 0 else -1
+    for i in range(engine.g.n):
+        out[i] = 1 if engine.field_at(out, i) >= 0 else -1
     return out
 
 
-def energy_S(g: Graph, p: PatternSet, s, engine: FieldEngine | None = None) -> float:
+def energy_S(engine: FieldEngine, s) -> float:
     s = np.asarray(s, dtype=np.int8)
-    eng = engine if engine is not None else FieldEngine(g, p)
-    h = eng.fields(s)
-    return -float(np.dot(s.astype(np.int64), h)) / g.n
+    return -float(np.dot(s.astype(np.int64), engine.fields(s))) / engine.g.n
 
 
-def energy_T(g: Graph, p: PatternSet, s, engine: FieldEngine | None = None) -> float:
+def energy_T(engine: FieldEngine, s) -> float:
     s = np.asarray(s, dtype=np.int8)
-    eng = engine if engine is not None else FieldEngine(g, p)
-    return -float(np.abs(eng.fields(s)).sum()) / g.n
+    return -float(np.abs(engine.fields(s)).sum()) / engine.g.n
 
 
 @dataclass(frozen=True)
@@ -176,18 +170,17 @@ class BlockOutcome:
     energy: np.ndarray      # (max steps, B) float64
 
 
-def run_block(g: Graph, p: PatternSet, states, k_max: int,
-              engine: FieldEngine | None = None) -> BlockOutcome:
+def run_block(engine: FieldEngine, states, k_max: int) -> BlockOutcome:
     """Iterate the parallel map T on every column of the (n, B) block
     states at once.  A column retires on a fixed point (checked first), a
     2-cycle, or the step cap, exactly as run_dynamics would end it; the
     live columns share one field evaluation per step."""
+    n = engine.g.n
     s = np.array(states, dtype=np.int8)
-    if s.ndim != 2 or s.shape[0] != g.n:
+    if s.ndim != 2 or s.shape[0] != n:
         raise ValueError("states must be an (n, B) block")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    eng = engine if engine is not None else FieldEngine(g, p)
     b = s.shape[1]
     terminal = np.full(b, "step_cap", dtype="U11")
     steps = np.full(b, k_max, dtype=np.int64)
@@ -198,11 +191,11 @@ def run_block(g: Graph, p: PatternSet, states, k_max: int,
     for k in range(1, k_max + 1):
         if not live.size:
             break
-        h = eng.fields(s)
-        row = np.full(b, np.nan)
-        row[live] = -np.abs(h).sum(axis=0) / g.n
-        energy.append(row)
+        h = engine.fields(s)
         nxt = _sign(h)
+        row = np.full(b, np.nan)
+        row[live] = -np.abs(h, out=h).sum(axis=0) / n
+        energy.append(row)
         fixed = (nxt == s).all(axis=0)
         done = fixed if prev is None else fixed | (nxt == prev).all(axis=0)
         if done.any():
@@ -238,7 +231,7 @@ def run_dynamics(g: Graph, p: PatternSet, s0, mode: str = "parallel",
         raise ValueError("state entries must be +-1")
     eng = engine if engine is not None else FieldEngine(g, p)
     if mode == "parallel":
-        out = run_block(g, p, s[:, np.newaxis], k_max, engine=eng)
+        out = run_block(eng, s[:, np.newaxis], k_max)
         terminal, steps, final = str(out.terminal[0]), int(out.steps[0]), out.final[:, 0]
         trace = out.energy[:steps, 0].tolist()
         if terminal == "fixed_point":
@@ -246,18 +239,18 @@ def run_dynamics(g: Graph, p: PatternSet, s0, mode: str = "parallel",
         elif terminal == "two_cycle":
             trace.append(trace[-2])
         else:
-            trace.append(-float(np.abs(eng.fields(final)).sum()) / g.n)
+            trace.append(energy_T(eng, final))
         return DynamicsOutcome(terminal, steps, final, np.asarray(trace))
     # sequential
     trace = []
     for k in range(1, k_max + 1):
-        trace.append(-float(np.dot(s.astype(np.int64), eng.fields(s))) / g.n)
-        nxt = sequential_sweep(g, p, s, engine=eng)
+        trace.append(energy_S(eng, s))
+        nxt = sequential_sweep(eng, s)
         if np.array_equal(nxt, s):
             trace.append(trace[-1])
             return DynamicsOutcome("fixed_point", k, nxt, np.asarray(trace))
         s = nxt
-    trace.append(-float(np.dot(s.astype(np.int64), eng.fields(s))) / g.n)
+    trace.append(energy_S(eng, s))
     return DynamicsOutcome("step_cap", k_max, s, np.asarray(trace))
 
 
@@ -284,15 +277,3 @@ def corrupt(s, rho: float, seed) -> np.ndarray:
         s[idx] = -s[idx]
     return s
 
-
-def stability_margin(g: Graph, p: PatternSet, mu: int,
-                     engine: FieldEngine | None = None) -> int:
-    """min_i xi_i^mu h_i(xi^mu): positive iff pattern mu is a strict fixed
-    point of T.  With a single stored pattern this equals the minimum
-    degree."""
-    if not 0 <= mu < p.m_patterns:
-        raise ValueError("pattern index out of range")
-    eng = engine if engine is not None else FieldEngine(g, p)
-    xi = p.pattern(mu)
-    h = eng.fields(xi)
-    return int((xi.astype(np.int64) * h).min())

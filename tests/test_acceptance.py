@@ -82,8 +82,9 @@ def test_criterion_04_energy_monotonicity_bulk():
         p = gm.sample_patterns(int(rng.integers(1, 6)), n,
                                int(rng.integers(2 ** 31)))
         s = (rng.integers(0, 2, n, dtype=np.int8) * 2 - 1).astype(np.int8)
-        assert gm.energy_S(g, p, gm.sequential_sweep(g, p, s)) <= gm.energy_S(g, p, s)
-        assert gm.energy_T(g, p, gm.parallel_step(g, p, s)) <= gm.energy_T(g, p, s)
+        eng = gm.FieldEngine(g, p)
+        assert gm.energy_S(eng, gm.sequential_sweep(eng, s)) <= gm.energy_S(eng, s)
+        assert gm.energy_T(eng, gm.parallel_step(eng, s)) <= gm.energy_T(eng, s)
         checked += 1
     report(4, "10^4 triples: zero energy-monotonicity violations")
 

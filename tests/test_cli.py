@@ -193,6 +193,19 @@ def test_gnp_suite_density_floor_enforced(tmp_path):
                    "--out", str(tmp_path / "r.csv")) == 2
 
 
+def test_powerlaw_weights_checked_before_any_search(tmp_path, monkeypatch, capsys):
+    # the default m_bar = 128 is infeasible at N = 512 and N = 256; with
+    # those sizes last the run must still fail before searching N = 1024
+    def no_search(*args, **kwargs):
+        raise AssertionError("capacity_search ran before every size was checked")
+
+    monkeypatch.setattr(cli.capacity_mod, "capacity_search", no_search)
+    assert run_cli("reproduce", "--suite", "powerlaw", "--sizes", "1024,512,256",
+                   "--out", str(tmp_path / "r.csv")) == 2
+    assert "max weight squared" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_io_errors_exit_3(tmp_path):
     assert run_cli("spectrum", "--graph", str(tmp_path / "missing.txt"),
                    "--out", str(tmp_path / "s.json")) == 3

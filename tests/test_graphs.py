@@ -1,7 +1,10 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graphmem import graphs
 
@@ -9,6 +12,22 @@ from graphmem import graphs
 def brute_degrees(g):
     a = graphs.adjacency_matrix(g, dense=True)
     return a.sum(axis=1).astype(int)
+
+
+# the two samplers behind each generator, which picks one by n alone
+GNP_SAMPLERS = {"pairwise": graphs._gnp_pairwise_pairs, "skip": graphs._gnp_skip_pairs}
+CHUNG_LU_SAMPLERS = {"pairwise": graphs._chung_lu_pairwise_pairs,
+                     "skip": graphs._chung_lu_skip_pairs}
+
+
+def gnp_with(sampler, n, p, seed):
+    u, v = GNP_SAMPLERS[sampler](n, p, np.random.default_rng(seed))
+    return graphs._from_pairs(n, u, v)
+
+
+def chung_lu_with(sampler, w, seed):
+    u, v = CHUNG_LU_SAMPLERS[sampler](w.weights, w.rho_norm, np.random.default_rng(seed))
+    return graphs._from_pairs(w.n, u, v)
 
 
 def test_complete_graph_structure():
@@ -43,8 +62,6 @@ def test_gnp_rejects_bad_args():
         graphs.gen_erdos_renyi(10, -0.1, 0)
     with pytest.raises(ValueError):
         graphs.gen_erdos_renyi(10, 1.5, 0)
-    with pytest.raises(ValueError):
-        graphs.gen_erdos_renyi(10, 0.5, 0, method="bogus")
 
 
 def test_gnp_is_deterministic_and_valid():
@@ -56,14 +73,13 @@ def test_gnp_is_deterministic_and_valid():
     assert a != c
 
 
-@pytest.mark.parametrize("method", ["pairwise", "skip"])
-def test_gnp_edge_count_concentrates(method):
+@pytest.mark.parametrize("sampler", ["pairwise", "skip"])
+def test_gnp_edge_count_concentrates(sampler):
     # mean = C(n,2) p, sd = sqrt(C(n,2) p (1-p)); 12 seeds, 4 sigma on the mean
     n, p = 600, 0.05
     pairs = n * (n - 1) // 2
     mean, sd = pairs * p, math.sqrt(pairs * p * (1 - p))
-    counts = [graphs.gen_erdos_renyi(n, p, s, method=method).edge_count
-              for s in range(12)]
+    counts = [gnp_with(sampler, n, p, s).edge_count for s in range(12)]
     assert abs(np.mean(counts) - mean) < 4 * sd / math.sqrt(len(counts))
 
 
@@ -73,8 +89,8 @@ def test_gnp_samplers_agree_on_degree_distribution():
     from scipy import stats
     deg_a, deg_b = [], []
     for s in range(6):
-        deg_a.append(brute_degrees(graphs.gen_erdos_renyi(400, 0.08, s, method="pairwise")))
-        deg_b.append(brute_degrees(graphs.gen_erdos_renyi(400, 0.08, 100 + s, method="skip")))
+        deg_a.append(brute_degrees(gnp_with("pairwise", 400, 0.08, s)))
+        deg_b.append(brute_degrees(gnp_with("skip", 400, 0.08, 100 + s)))
     res = stats.ks_2samp(np.concatenate(deg_a), np.concatenate(deg_b))
     assert res.pvalue > 0.01
 
@@ -128,6 +144,16 @@ def test_powerlaw_second_order_average_exceeds_first():
     assert 1.2 < d2 / d < 2.0
 
 
+def test_generators_pick_the_sampler_by_n():
+    # up to 10^4 vertices the per-pair sampler draws the graph, above it
+    # the skip sampler; a seed fixes the graph either way
+    assert graphs.gen_erdos_renyi(300, 0.05, 4) == gnp_with("pairwise", 300, 0.05, 4)
+    assert graphs.gen_erdos_renyi(10_001, 1e-4, 4) == gnp_with("skip", 10_001, 1e-4, 4)
+    for n, kind in ((300, "pairwise"), (10_001, "skip")):
+        w = graphs.make_weights(np.linspace(3.0, 1.0, n))
+        assert graphs.gen_chung_lu(w, 6) == chung_lu_with(kind, w, 6)
+
+
 def test_chung_lu_matches_expected_degrees():
     # E[deg i] = w_i rho sum_{j != i} w_j = w_i (1 - rho w_i) under the
     # normalization rho = 1/sum(w); average over many draws, 5 sigma window
@@ -147,8 +173,8 @@ def test_chung_lu_samplers_agree():
     w = graphs.make_weights(np.linspace(12.0, 0.5, 500))
     deg_a, deg_b = [], []
     for s in range(6):
-        deg_a.append(brute_degrees(graphs.gen_chung_lu(w, s, method="pairwise")))
-        deg_b.append(brute_degrees(graphs.gen_chung_lu(w, 50 + s, method="skip")))
+        deg_a.append(brute_degrees(chung_lu_with("pairwise", w, s)))
+        deg_b.append(brute_degrees(chung_lu_with("skip", w, 50 + s)))
     res = stats.ks_2samp(np.concatenate(deg_a), np.concatenate(deg_b))
     assert res.pvalue > 0.01
 
@@ -199,18 +225,6 @@ def test_degree_stats_on_path(tmp_path):
     assert d.d_avg == pytest.approx(4.0 / 3.0)
     assert d.d_tilde == pytest.approx(6.0 / 4.0)
     assert d.edge_count == 2
-
-
-def test_complement_involution_and_extremes():
-    g = graphs.gen_erdos_renyi(40, 0.3, 7)
-    gc = graphs.complement(g)
-    graphs.validate_graph(gc)
-    assert graphs.complement(gc) == g
-    assert g.edge_count + gc.edge_count == 40 * 39 // 2
-    assert graphs.complement(graphs.gen_complete(9)).edge_count == 0
-    dg = brute_degrees(g)
-    dc = brute_degrees(gc)
-    assert np.all(dg + dc == 39)
 
 
 def test_edge_endpoints_lists_every_arc():
@@ -276,3 +290,52 @@ def test_edge_list_parse_errors(tmp_path, text, lineno):
     with pytest.raises(graphs.EdgeListParseError) as exc:
         graphs.load_edge_list(path)
     assert exc.value.line_number == lineno
+
+
+def test_duplicate_edge_names_its_first_line(tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("5 4\n0 1\n1 2\n2 3\n1 2\n")
+    with pytest.raises(graphs.EdgeListParseError,
+                       match=r"^line 5: duplicate edge 1 2 \(first at line 3\)$"):
+        graphs.load_edge_list(path)
+
+
+@st.composite
+def any_graph(draw):
+    """A graph from one of the generators, edgeless and one-vertex graphs
+    included."""
+    kind = draw(st.sampled_from(["complete", "gnp", "chunglu", "twoclique"]))
+    seed = draw(st.integers(0, 2 ** 31))
+    if kind == "complete":
+        return graphs.gen_complete(draw(st.integers(1, 30)))
+    if kind == "gnp":
+        p = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+        return graphs.gen_erdos_renyi(draw(st.integers(1, 40)), p, seed)
+    if kind == "chunglu":
+        n = draw(st.integers(1, 40))
+        base = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, n))[::-1]
+        base /= base[0]
+        base[n - draw(st.integers(0, n - 1)):] = 0.0   # isolated tail
+        # scale t < sum(base) keeps max(w)^2 = t^2 below sum(w) = t sum(base)
+        scale = draw(st.floats(0.05, 0.95)) * base.sum()
+        return graphs.gen_chung_lu(graphs.make_weights(scale * base), seed)
+    n = draw(st.integers(4, 30))
+    return graphs.gen_two_cliques(draw(st.integers(2, n - 2)), n,
+                                  bridged=draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_graph())
+@example(graphs.gen_complete(1))
+@example(graphs.gen_erdos_renyi(1, 0.5, 0))
+@example(graphs.gen_erdos_renyi(12, 0.0, 0))
+@example(graphs.gen_two_cliques(3, 9, bridged=True))
+def test_edge_list_round_trip_every_generator(g):
+    graphs.validate_graph(g)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        graphs.save_edge_list(g, path)
+        back = graphs.load_edge_list(path)
+    graphs.validate_graph(back)
+    assert back == g
+    assert np.array_equal(back.degrees, g.degrees)

@@ -91,9 +91,10 @@ def test_zero_field_resolves_to_plus_one():
     # isolated vertices have zero field; the update sends them to +1
     g = graphs.gen_erdos_renyi(6, 0.0, 0)
     p = hopfield.sample_patterns(2, 6, 3)
+    eng = hopfield.FieldEngine(g, p)
     s = -np.ones(6, dtype=np.int8)
-    assert np.all(hopfield.parallel_step(g, p, s) == 1)
-    assert np.all(hopfield.sequential_sweep(g, p, s) == 1)
+    assert np.all(hopfield.parallel_step(eng, s) == 1)
+    assert np.all(hopfield.sequential_sweep(eng, s) == 1)
 
 
 def test_energies_match_brute_force():
@@ -104,10 +105,11 @@ def test_energies_match_brute_force():
                                    int(rng.integers(2 ** 31)))
         p = hopfield.sample_patterns(int(rng.integers(1, 5)), n,
                                      int(rng.integers(2 ** 31)))
+        eng = hopfield.FieldEngine(g, p)
         s = random_state(rng, n)
         want_s, want_t = brute_energy_pair(g, p, s)
-        assert hopfield.energy_S(g, p, s) == pytest.approx(want_s)
-        assert hopfield.energy_T(g, p, s) == pytest.approx(want_t)
+        assert hopfield.energy_S(eng, s) == pytest.approx(want_s)
+        assert hopfield.energy_T(eng, s) == pytest.approx(want_t)
 
 
 def test_parallel_step_matches_sign_of_field():
@@ -121,7 +123,7 @@ def test_parallel_step_matches_sign_of_field():
         s = random_state(rng, n)
         h = brute_fields(g, p, s)
         want = np.where(h >= 0, 1, -1)
-        assert np.array_equal(hopfield.parallel_step(g, p, s), want)
+        assert np.array_equal(hopfield.parallel_step(hopfield.FieldEngine(g, p), s), want)
 
 
 def test_sequential_sweep_uses_updated_prefix(tmp_path):
@@ -132,9 +134,10 @@ def test_sequential_sweep_uses_updated_prefix(tmp_path):
     path.write_text("2 1\n0 1\n")
     g = graphs.load_edge_list(path)
     p = hopfield.PatternSet(np.array([[1, 1]], dtype=np.int8))
+    eng = hopfield.FieldEngine(g, p)
     s = np.array([-1, 1], dtype=np.int8)
-    assert np.array_equal(hopfield.sequential_sweep(g, p, s), [1, 1])
-    assert np.array_equal(hopfield.parallel_step(g, p, s), [1, -1])
+    assert np.array_equal(hopfield.sequential_sweep(eng, s), [1, 1])
+    assert np.array_equal(hopfield.parallel_step(eng, s), [1, -1])
 
 
 def test_energy_never_increases():
@@ -147,11 +150,12 @@ def test_energy_never_increases():
                                    int(rng.integers(2 ** 31)))
         p = hopfield.sample_patterns(int(rng.integers(1, 6)), n,
                                      int(rng.integers(2 ** 31)))
+        eng = hopfield.FieldEngine(g, p)
         s = random_state(rng, n)
-        assert hopfield.energy_S(g, p, hopfield.sequential_sweep(g, p, s)) \
-            <= hopfield.energy_S(g, p, s)
-        assert hopfield.energy_T(g, p, hopfield.parallel_step(g, p, s)) \
-            <= hopfield.energy_T(g, p, s)
+        assert hopfield.energy_S(eng, hopfield.sequential_sweep(eng, s)) \
+            <= hopfield.energy_S(eng, s)
+        assert hopfield.energy_T(eng, hopfield.parallel_step(eng, s)) \
+            <= hopfield.energy_T(eng, s)
 
 
 def test_stored_pattern_is_fixed_point_at_low_load():
@@ -203,7 +207,7 @@ def test_sequential_always_reaches_fixed_point():
         out = hopfield.run_dynamics(g, p, random_state(rng, n),
                                     mode="sequential", k_max=4 * n + 8)
         assert out.terminal == "fixed_point"
-        fixed = hopfield.sequential_sweep(g, p, out.final)
+        fixed = hopfield.sequential_sweep(hopfield.FieldEngine(g, p), out.final)
         assert np.array_equal(fixed, out.final)
 
 
@@ -246,24 +250,6 @@ def test_corrupt_flips_exact_count():
     # deterministic given the seed
     assert np.array_equal(hopfield.corrupt(s, 0.2, 3), hopfield.corrupt(s, 0.2, 3))
     assert not np.array_equal(hopfield.corrupt(s, 0.2, 3), hopfield.corrupt(s, 0.2, 4))
-
-
-def test_stability_margin_single_pattern_complete():
-    n = 20
-    g = graphs.gen_complete(n)
-    p = hopfield.sample_patterns(1, n, 1)
-    # xi_i h_i(xi) = n - 1 at every vertex when one pattern is stored
-    assert hopfield.stability_margin(g, p, 0) == n - 1
-
-
-def test_stability_margin_flags_unstable_pattern():
-    rng = np.random.default_rng(13)
-    g = graphs.gen_complete(12)
-    p = hopfield.sample_patterns(6, 12, 44)
-    m = hopfield.stability_margin(g, p, 0)
-    stable = np.array_equal(hopfield.parallel_step(g, p, p.pattern(0)), p.pattern(0))
-    # positive margin certifies the pattern is a strict fixed point
-    assert (m > 0) <= stable
 
 
 def brute_parallel(g, p, s0, k_max):
@@ -315,7 +301,7 @@ def block_cases(draw):
 @given(block_cases())
 def test_run_block_columns_match_single_runs(case):
     g, p, starts, k_max = case
-    out = hopfield.run_block(g, p, starts, k_max)
+    out = hopfield.run_block(hopfield.FieldEngine(g, p), starts, k_max)
     for c in range(starts.shape[1]):
         single = hopfield.run_dynamics(g, p, starts[:, c], k_max=k_max)
         assert out.terminal[c] == single.terminal
@@ -334,14 +320,15 @@ def test_run_block_reaches_every_terminal():
     # closes
     g = graphs.gen_complete(2)
     p = hopfield.PatternSet(np.array([[1, 1]], dtype=np.int8))
+    eng = hopfield.FieldEngine(g, p)
     starts = np.array([[1, 1, -1], [1, -1, 1]], dtype=np.int8)
-    out = hopfield.run_block(g, p, starts, k_max=5)
+    out = hopfield.run_block(eng, starts, k_max=5)
     assert out.terminal.tolist() == ["fixed_point", "two_cycle", "two_cycle"]
     assert out.steps.tolist() == [1, 2, 2]
-    capped = hopfield.run_block(g, p, starts, k_max=1)
+    capped = hopfield.run_block(eng, starts, k_max=1)
     assert capped.terminal.tolist() == ["fixed_point", "step_cap", "step_cap"]
     assert np.array_equal(capped.final[:, 1:], [[-1, 1], [1, -1]])
     with pytest.raises(ValueError):
-        hopfield.run_block(g, p, starts[:1], k_max=5)
+        hopfield.run_block(eng, starts[:1], k_max=5)
     with pytest.raises(ValueError):
-        hopfield.run_block(g, p, starts, k_max=0)
+        hopfield.run_block(eng, starts, k_max=0)
