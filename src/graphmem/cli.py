@@ -370,7 +370,10 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int,
                 raise ValueError(
                     f"powerlaw suite needs d > c sqrt(m_bar) (log N)^(3/2) or "
                     f"the m_bar >> (log N)^4 branch; violated at N={n}")
-            weights[n] = graphs_mod.powerlaw_weights(n, beta, davg, mbar)
+            try:
+                weights[n] = graphs_mod.powerlaw_weights(n, beta, davg, mbar)
+            except graphs_mod.InfeasibleWeightsError as e:
+                raise graphs_mod.InfeasibleWeightsError(f"N={n}: {e}") from None
     rows = []
     for n in sizes:
         gseed = int(np.random.SeedSequence(entropy=(seed, n, 0)).generate_state(1)[0])

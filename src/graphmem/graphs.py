@@ -369,10 +369,10 @@ def validate_graph(g: Graph) -> None:
     src, dst = edge_endpoints(g)
     if np.any(src == dst):
         raise ValueError("self-loop present")
-    for i in range(g.n):
-        row = g.neighbors(i)
-        if row.size > 1 and np.any(np.diff(row) <= 0):
-            raise ValueError(f"neighbor list of {i} not strictly increasing")
+    # consecutive arcs of one source must have increasing targets
+    bad = np.flatnonzero((np.diff(dst) <= 0) & (src[1:] == src[:-1]))
+    if bad.size:
+        raise ValueError(f"neighbor list of {src[bad[0]]} not strictly increasing")
     # symmetry: the set of (src, dst) arcs must equal its transpose
     fwd = src * g.n + dst
     bwd = dst * g.n + src
@@ -399,49 +399,52 @@ def load_edge_list(path) -> Graph:
     duplicate edge, or an edge count that disagrees with the header.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise EdgeListParseError(1, "missing header line")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise EdgeListParseError(1, f"expected 'n edge_count', got {lines[0]!r}")
-    try:
-        n, count = int(head[0]), int(head[1])
-    except ValueError:
-        raise EdgeListParseError(1, f"non-integer header field in {lines[0]!r}") from None
-    if n < 0 or count < 0:
-        raise EdgeListParseError(1, "negative header field")
-    seen: set[int] = set()     # i * n + j for every edge read so far
-    u = np.empty(count, dtype=np.int64)
-    v = np.empty(count, dtype=np.int64)
-    k = 0
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            raise EdgeListParseError(lineno, "blank line")
-        parts = raw.split()
-        if len(parts) != 2:
-            raise EdgeListParseError(lineno, f"expected 'i j', got {raw!r}")
+        header = fh.readline()
+        if not header:
+            raise EdgeListParseError(1, "missing header line")
+        header = header.rstrip("\n")
+        head = header.split()
+        if len(head) != 2:
+            raise EdgeListParseError(1, f"expected 'n edge_count', got {header!r}")
         try:
-            i, j = int(parts[0]), int(parts[1])
+            n, count = int(head[0]), int(head[1])
         except ValueError:
-            raise EdgeListParseError(lineno, f"non-integer vertex in {raw!r}") from None
-        if not (0 <= i < n and 0 <= j < n):
-            raise EdgeListParseError(lineno, f"vertex out of range in {raw!r}")
-        if i == j:
-            raise EdgeListParseError(lineno, f"self-loop {i}")
-        if i > j:
-            raise EdgeListParseError(lineno, f"vertices out of order in {raw!r}")
-        key = i * n + j
-        if key in seen:
-            # edge k sits on line k + 2, after the header
-            first = int(np.flatnonzero((u[:k] == i) & (v[:k] == j))[0]) + 2
-            raise EdgeListParseError(lineno, f"duplicate edge {i} {j} (first at line {first})")
-        seen.add(key)
-        if k >= count:
-            raise EdgeListParseError(lineno, f"more than {count} edges declared in header")
-        u[k] = i
-        v[k] = j
-        k += 1
+            raise EdgeListParseError(1, f"non-integer header field in {header!r}") from None
+        if n < 0 or count < 0:
+            raise EdgeListParseError(1, "negative header field")
+        seen: set[int] = set()     # i * n + j for every edge read so far
+        u = np.empty(count, dtype=np.int64)
+        v = np.empty(count, dtype=np.int64)
+        k = 0
+        lineno = 1
+        for lineno, raw in enumerate(fh, start=2):
+            raw = raw.rstrip("\n")
+            if not raw.strip():
+                raise EdgeListParseError(lineno, "blank line")
+            parts = raw.split()
+            if len(parts) != 2:
+                raise EdgeListParseError(lineno, f"expected 'i j', got {raw!r}")
+            try:
+                i, j = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise EdgeListParseError(lineno, f"non-integer vertex in {raw!r}") from None
+            if not (0 <= i < n and 0 <= j < n):
+                raise EdgeListParseError(lineno, f"vertex out of range in {raw!r}")
+            if i == j:
+                raise EdgeListParseError(lineno, f"self-loop {i}")
+            if i > j:
+                raise EdgeListParseError(lineno, f"vertices out of order in {raw!r}")
+            key = i * n + j
+            if key in seen:
+                # edge k sits on line k + 2, after the header
+                first = int(np.flatnonzero((u[:k] == i) & (v[:k] == j))[0]) + 2
+                raise EdgeListParseError(lineno, f"duplicate edge {i} {j} (first at line {first})")
+            seen.add(key)
+            if k >= count:
+                raise EdgeListParseError(lineno, f"more than {count} edges declared in header")
+            u[k] = i
+            v[k] = j
+            k += 1
     if k != count:
-        raise EdgeListParseError(len(lines), f"header declares {count} edges, found {k}")
+        raise EdgeListParseError(lineno, f"header declares {count} edges, found {k}")
     return _from_pairs(n, u, v)

@@ -63,20 +63,15 @@ def sample_patterns(m: int, n: int, seed) -> PatternSet:
 class FieldEngine:
     """Exact local fields for a fixed (graph, patterns) pair.
 
-    The couplings J_ij = a_ij sum_mu xi_i^mu xi_j^mu are built once, in
-    the storage the input calls for:
+    The couplings J_ij = a_ij sum_mu xi_i^mu xi_j^mu are held as:
 
-    - "dense": an n x n float64 array, used on near-complete graphs
-      (8 n^2 <= 12 nnz, as on K_n).  J is Xi^T Xi masked by the
-      adjacency, and fields come from one GEMM.  The float arithmetic is
-      exact: every partial sum is an integer of magnitude at most
-      M * max degree < 2^31 (checked below), far inside the 2^53 range of
-      float64 integers.
-    - "csr": int32 per-arc weights aligned with the graph's CSR arrays,
-      used otherwise.  The sparse product runs in int32, which holds
-      every partial sum exactly under the same 2^31 guard, so the state
-      block is not widened to int64 before the product; only the result
-      is.
+    - "complete" on K_n, where J = Xi^T Xi - M I: only Xi is kept, as
+      float64, and h(s) = Xi^T (Xi s) - M s takes two GEMMs, with no n x n
+      array.  They are exact: every partial sum is an integer of magnitude
+      at most n M, which the 2^31 guard keeps far inside float64's 2^53.
+    - "csr" on every other graph: int32 per-arc weights aligned with the
+      graph's CSR arrays.  The int32 product holds every partial sum
+      exactly under the same guard; only its result is widened to int64.
 
     fields() accepts one state (n,) or a block of states (n, B) and
     returns exact int64 fields of the same shape.
@@ -90,13 +85,10 @@ class FieldEngine:
             raise ValueError("pattern count times max degree overflows the field budget")
         self.g = g
         self.p = p
-        if 8 * g.n * g.n <= 12 * g.indices.size:
-            self.storage = "dense"
-            xi = p.bits.astype(np.float64)
-            full = xi.T @ xi
-            src, dst = edge_endpoints(g)
-            self._j = np.zeros_like(full)
-            self._j[src, dst] = full[src, dst]
+        # the graph is simple, so only K_n has n (n - 1) arcs
+        if g.indices.size == g.n * (g.n - 1):
+            self.storage = "complete"
+            self._xi = p.bits.astype(np.float64)
         else:
             self.storage = "csr"
             self._j = sp.csr_array(
@@ -116,14 +108,15 @@ class FieldEngine:
 
     def fields(self, s: np.ndarray) -> np.ndarray:
         """h(s) for a state (n,) or each column of a block (n, B), exact int64."""
-        if self.storage == "dense":
-            return (self._j @ s.astype(np.float64)).astype(np.int64)
+        if self.storage == "complete":
+            x = s.astype(np.float64)
+            return (self._xi.T @ (self._xi @ x) - self.p.m_patterns * x).astype(np.int64)
         return (self._j @ s.astype(np.int32)).astype(np.int64)
 
     def field_at(self, s: np.ndarray, i: int) -> int:
         """h_i(s) for a single vertex."""
-        if self.storage == "dense":
-            return int(self._j[i] @ s)
+        if self.storage == "complete":
+            return int(self._xi[:, i] @ (self._xi @ s)) - self.p.m_patterns * int(s[i])
         lo, hi = self.g.indptr[i], self.g.indptr[i + 1]
         return int(self._j.data[lo:hi] @ s[self.g.indices[lo:hi]])
 

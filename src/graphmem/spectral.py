@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph, adjacency_matrix, degree_stats, DegreeStats
+from .graphs import Graph, adjacency_matrix, degree_stats, DegreeStats, edge_endpoints
 
 # Dense solves stay cheap up to here; beyond it the iterative path runs.
 _DENSE_LIMIT = 4096
@@ -205,7 +205,7 @@ def subgraph_bounds(g: Graph, s: SpectralSummary, I, J) -> BoundReport:
     in_j = np.zeros(g.n, dtype=bool)
     in_j[J] = True
 
-    src, dst = np.repeat(np.arange(g.n), np.diff(g.indptr)), g.indices
+    src, dst = edge_endpoints(g)
     hit = in_j[src] & in_i[dst]
     e_count = int(np.count_nonzero(hit))
 

@@ -202,8 +202,21 @@ def test_powerlaw_weights_checked_before_any_search(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(cli.capacity_mod, "capacity_search", no_search)
     assert run_cli("reproduce", "--suite", "powerlaw", "--sizes", "1024,512,256",
                    "--out", str(tmp_path / "r.csv")) == 2
-    assert "max weight squared" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "max weight squared" in err and "N=512" in err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_complete_ladder_pins_reference_m_hat(tmp_path):
+    # the seed-0 values the benchmark's reference holds for this ladder
+    out = tmp_path / "r.csv"
+    assert run_cli("reproduce", "--suite", "complete", "--sizes", "272,288,304",
+                   "--trials", "100", "--seed", "0", "--out", str(out)) == 0
+    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    head = body[0].split(",")
+    m_hat = {int(r.split(",")[0]): int(r.split(",")[head.index("m_hat")])
+             for r in body[1:]}
+    assert m_hat == {272: 23, 288: 22, 304: 15}
 
 
 def test_io_errors_exit_3(tmp_path):

@@ -283,6 +283,8 @@ def test_edge_list_format(tmp_path):
     ("3 2\n0 1\n0 1\n", 3),                   # duplicate edge
     ("3 2\n0 1\n", 2),                        # fewer edges than declared
     ("3 1\n0 1\n0 2\n", 3),                   # more edges than declared
+    ("3 1\r\n0 x\r\n", 2),                    # CRLF line ends
+    ("3 2\r\n0 1\r\n", 2),                    # CRLF, fewer edges
 ])
 def test_edge_list_parse_errors(tmp_path, text, lineno):
     path = tmp_path / "bad.txt"
@@ -290,6 +292,23 @@ def test_edge_list_parse_errors(tmp_path, text, lineno):
     with pytest.raises(graphs.EdgeListParseError) as exc:
         graphs.load_edge_list(path)
     assert exc.value.line_number == lineno
+
+
+def test_crlf_edge_list_matches_lf(tmp_path):
+    g = graphs.gen_two_cliques(3, 7, bridged=True)
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    graphs.save_edge_list(g, lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert graphs.load_edge_list(crlf) == g
+    for text, want in [("abc\n", "line 1: expected 'n edge_count', got 'abc'"),
+                       ("3 2\n0 1\n", "line 2: header declares 2 edges, found 1"),
+                       ("3 1\n0 1\n0 2\n", "line 3: more than 1 edges declared in header"),
+                       ("3 1\n1 0\n", "line 2: vertices out of order in '1 0'")]:
+        for ending in ("\n", "\r\n"):
+            lf.write_bytes(text.replace("\n", ending).encode())
+            with pytest.raises(graphs.EdgeListParseError) as exc:
+                graphs.load_edge_list(lf)
+            assert str(exc.value) == want
 
 
 def test_duplicate_edge_names_its_first_line(tmp_path):
@@ -339,3 +358,39 @@ def test_edge_list_round_trip_every_generator(g):
     graphs.validate_graph(back)
     assert back == g
     assert np.array_equal(back.degrees, g.degrees)
+
+
+def raw_graph(rows, n=None, degrees=None, indptr=None):
+    """A Graph built straight from adjacency lists, unchecked."""
+    n = len(rows) if n is None else n
+    indices = np.array([j for row in rows for j in row], dtype=np.int64)
+    if indptr is None:
+        indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    indptr = np.asarray(indptr, dtype=np.int64)
+    if degrees is None:
+        degrees = np.diff(indptr)
+    return graphs.Graph(n, indptr, indices, np.asarray(degrees, dtype=np.int64))
+
+
+K4 = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+
+
+@pytest.mark.parametrize("g,message", [
+    (raw_graph(K4, n=5), "indptr inconsistent"),
+    (raw_graph(K4, indptr=[1, 3, 6, 9, 12]), "indptr inconsistent"),
+    (raw_graph(K4, indptr=[0, 3, 6, 9, 11]), "indptr inconsistent"),
+    (raw_graph(K4, degrees=[3, 3, 2, 4]), "degrees inconsistent"),
+    (raw_graph([[1], [0, 4], [], []]), "out of range"),
+    (raw_graph([[1], [-1, 0], [], []]), "out of range"),
+    (raw_graph([[1], [0, 1], [], []]), "self-loop"),
+    (raw_graph([[1, 2, 3], [0, 2, 3], [3, 1, 0], [0, 1, 2]]),
+     r"^neighbor list of 2 not strictly increasing$"),
+    (raw_graph([[1, 2, 3], [0, 2, 2, 3], [0, 1, 3], [0, 1, 2]]),
+     r"^neighbor list of 1 not strictly increasing$"),
+    (raw_graph([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1]]), "not symmetric"),
+], ids=["indptr-size", "indptr-start", "indptr-end", "degrees", "index-high",
+        "index-negative", "self-loop", "unsorted", "repeated", "asymmetric"])
+def test_validate_graph_rejections(g, message):
+    with pytest.raises(ValueError, match=message):
+        graphs.validate_graph(g)
+    graphs.validate_graph(raw_graph(K4))

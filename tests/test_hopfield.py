@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphmem import graphs, hopfield
+
+SRC = str(Path(graphs.__file__).resolve().parents[1])
 
 
 def brute_weights(g, p):
@@ -46,17 +52,21 @@ def test_pattern_bits_are_frozen():
         p.bits[0, 0] = 1
 
 
-# density 1 forces the dense storage (8 n^2 <= 12 nnz), density <= 0.4
-# forces CSR
-@pytest.mark.parametrize("storage,density", [("dense", (1.0, 1.0)),
-                                             ("csr", (0.1, 0.4))],
-                         ids=["dense", "csr"])
+# density 1 gives K_n and the closed-form storage; every other graph,
+# near-complete ones included, takes CSR
+@pytest.mark.parametrize("storage,density", [("complete", (1.0, 1.0)),
+                                             ("csr", (0.1, 0.4)),
+                                             ("csr", (0.7, 0.95))],
+                         ids=["complete", "csr", "near_complete"])
 def test_fields_match_brute_force(storage, density):
     rng = np.random.default_rng(5)
-    for _ in range(20):
+    checked = 0
+    while checked < 20:
         n = int(rng.integers(3, 30))
         g = graphs.gen_erdos_renyi(n, float(rng.uniform(*density)),
                                    int(rng.integers(2 ** 31)))
+        if storage == "csr" and g.indices.size == n * (n - 1):
+            continue    # a sparse draw that came out complete
         p = hopfield.sample_patterns(int(rng.integers(1, 6)), n,
                                      int(rng.integers(2 ** 31)))
         eng = hopfield.FieldEngine(g, p)
@@ -70,6 +80,32 @@ def test_fields_match_brute_force(storage, density):
         assert eng.field_at(s, i) == want[i]
         block = np.stack([random_state(rng, n) for _ in range(4)], axis=1)
         assert np.array_equal(eng.fields(block), brute_weights(g, p) @ block)
+        checked += 1
+
+
+def test_field_budget_guard_raises_before_allocating():
+    # M * max degree = 2^21 * 2^10 reaches 2^31 on K_1025 and on a star.
+    # The broadcast patterns take no memory, and the child's address space
+    # is capped far below the 17 GB that a float64 copy of them would need,
+    # so the guard must fire before either storage allocates anything.
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 32, 2 ** 32))\n"
+            "import numpy as np\n"
+            "from graphmem import graphs, hopfield\n"
+            "n = 1025\n"
+            "ones = np.ones(n, dtype=np.int8)\n"
+            "p = hopfield.PatternSet(np.broadcast_to(ones, (2 ** 21, n)))\n"
+            "hub = np.zeros(n - 1, dtype=np.int64)\n"
+            "star = graphs._from_pairs(n, hub, np.arange(1, n))\n"
+            "for g in (graphs.gen_complete(n), star):\n"
+            "    try:\n"
+            "        hopfield.FieldEngine(g, p)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.splitlines() == [
+        "pattern count times max degree overflows the field budget"] * 2
 
 
 def test_engine_rejects_mismatched_sizes():
