@@ -21,6 +21,11 @@ from .spectral import SpectralSummary
 _EXHAUSTIVE_LIMIT = 16
 # batch means behind the Monte Carlo interval of mgf_check
 _MGF_BATCHES = 100
+# matrix entries per quadratic-form chunk (2 MB of float64), and signs per
+# random draw: numpy packs four int8 draws into a 32-bit word, so the draw
+# block size is part of the seed -> sample mapping
+_FORM_CHUNK = 250_000
+_DRAW_CHUNK = 5_000_000
 
 
 def entropy(x: float) -> float:
@@ -100,27 +105,28 @@ class DegreeTailReport:
     violations: int
 
 
-def _all_sign_states(n: int) -> np.ndarray:
-    codes = np.arange(2 ** n, dtype=np.uint32)[:, np.newaxis]
-    bits = (codes >> np.arange(n, dtype=np.uint32)) & 1
-    return (bits.astype(np.int8) * 2 - 1)
-
-
-def _form_values(g: Graph, x: np.ndarray) -> np.ndarray:
-    """S(x) = (1/2) x^T A x for each row of x, exact integers as floats."""
-    a = adjacency_matrix(g, dense=True)
-    return 0.5 * np.einsum("bi,bi->b", x @ a, x.astype(np.float64))
-
-
-def _sample_form(g: Graph, samples: int, rng) -> np.ndarray:
-    a = adjacency_matrix(g, dense=True)
-    out = np.empty(samples)
-    chunk = max(1, int(5e6) // max(g.n, 1))
-    for lo in range(0, samples, chunk):
-        hi = min(lo + chunk, samples)
-        x = (rng.integers(0, 2, size=(hi - lo, g.n), dtype=np.int8) * 2 - 1).astype(np.float64)
-        out[lo:hi] = 0.5 * np.einsum("bi,bi->b", x @ a, x)
-    return out
+def _form_values(g: Graph, samples: int, seed) -> np.ndarray:
+    """S(x) = (1/2) x^T A x, exact integers as floats, for every sign vector
+    x when n <= _EXHAUSTIVE_LIMIT, else for `samples` uniform draws seeded
+    by seed.  Rows are held as 0/1 bits and turned into signs
+    _FORM_CHUNK matrix entries at a time."""
+    a = adjacency_matrix(g).toarray()
+    if g.n <= _EXHAUSTIVE_LIMIT:
+        codes = np.arange(2 ** g.n, dtype=np.uint32)[:, np.newaxis]
+        blocks = [(codes >> np.arange(g.n, dtype=np.uint32)) & 1]
+    else:
+        rng = np.random.default_rng(seed)
+        draw = max(1, _DRAW_CHUNK // g.n)
+        blocks = (rng.integers(0, 2, size=(min(draw, samples - lo), g.n), dtype=np.int8)
+                  for lo in range(0, samples, draw))
+    step = max(1, _FORM_CHUNK // max(g.n, 1))
+    out = []
+    for bits in blocks:
+        for lo in range(0, bits.shape[0], step):
+            x = np.multiply(bits[lo:lo + step], 2.0)
+            x -= 1.0
+            out.append(0.5 * np.einsum("bi,bi->b", x @ a, x))
+    return np.concatenate(out)
 
 
 def tail_bound(y: float, l: int, lambda1: float) -> float:
@@ -154,14 +160,12 @@ def quadratic_form_tail(g: Graph, s: SpectralSummary, y_grid, samples: int,
         raise ValueError("need at least 1000 samples")
     l = g.edge_count
     analytic = np.array([tail_bound(y, l, s.lambda1) for y in y_grid])
+    vals = _form_values(g, samples, seed)
     if g.n <= _EXHAUSTIVE_LIMIT:
-        vals = _form_values(g, _all_sign_states(g.n))
         p_exact = np.array([np.count_nonzero(vals > y) / vals.size for y in y_grid])
         emp = np.column_stack([p_exact, p_exact, p_exact])
         violations = int(np.count_nonzero(p_exact > analytic))
         return TailReport(y_grid, emp, analytic, violations, "exhaustive", int(vals.size))
-    rng = np.random.default_rng(seed)
-    vals = _sample_form(g, samples, rng)
     rows = []
     violations = 0
     for y, bound in zip(y_grid, analytic):
@@ -189,14 +193,12 @@ def mgf_check(g: Graph, s: SpectralSummary, t_grid, samples: int, seed,
         if t < 0 or s.lambda1 * t >= 1.0:
             raise ValueError(f"t={t} outside [0, 1/lambda1)")
     analytic = np.array([mgf_bound(t, l, s.lambda1) for t in t_grid])
+    vals = _form_values(g, samples, seed)
     if g.n <= _EXHAUSTIVE_LIMIT:
-        vals = _form_values(g, _all_sign_states(g.n))
         exact = np.array([np.mean(np.exp(t * vals)) for t in t_grid])
         emp = np.column_stack([exact, exact, exact])
         violations = int(np.count_nonzero(exact > analytic))
         return MgfReport(t_grid, emp, analytic, violations, "exhaustive", int(vals.size))
-    rng = np.random.default_rng(seed)
-    vals = _sample_form(g, samples, rng)
     use = (samples // _MGF_BATCHES) * _MGF_BATCHES
     per_batch = vals[:use].reshape(_MGF_BATCHES, -1)
     rows = []

@@ -165,8 +165,7 @@ def _cmd_gen(config: ExperimentConfig) -> int:
 def _cmd_spectrum(config: ExperimentConfig) -> int:
     t0 = time.perf_counter()
     g = _load_graph(config.params["graph"])
-    s = spectral_mod.spectrum_summary(g, tol=config.params["tol"],
-                                      method=config.params["method"])
+    s = spectral_mod.spectrum_summary(g, tol=config.params["tol"])
     d = graphs_mod.degree_stats(g)
     payload = {
         "lambda1": s.lambda1, "lambda2": s.lambda2, "lambdaN": s.lambdaN,
@@ -492,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("spectrum", help="extreme eigenvalues and degree stats")
     s.add_argument("--graph", required=True)
     s.add_argument("--tol", type=float, default=1e-8)
-    s.add_argument("--method", choices=["auto", "dense", "iterative"], default="auto")
     _add_common(s)
 
     d = sp.add_parser("dynamics", help="run retrieval dynamics from a start state")

@@ -51,6 +51,11 @@ class Graph:
     def edge_count(self) -> int:
         return self.indices.size // 2
 
+    @property
+    def is_complete(self) -> bool:
+        """True for K_n: the graph is simple, so only K_n has n (n - 1) arcs."""
+        return self.indices.size == self.n * (self.n - 1)
+
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
@@ -349,13 +354,12 @@ def edge_endpoints(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return src, g.indices
 
 
-def adjacency_matrix(g: Graph, dense: bool = False):
-    """Adjacency matrix as scipy CSR (or a dense float array)."""
+def adjacency_matrix(g: Graph):
+    """Adjacency matrix as a scipy CSR float64 matrix."""
     import scipy.sparse as sp
 
     data = np.ones(g.indices.size, dtype=np.float64)
-    a = sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
-    return a.toarray() if dense else a
+    return sp.csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
 
 
 def validate_graph(g: Graph) -> None:

@@ -74,7 +74,8 @@ class FieldEngine:
       exactly under the same guard; only its result is widened to int64.
 
     fields() accepts one state (n,) or a block of states (n, B) and
-    returns exact int64 fields of the same shape.
+    returns exact int64 fields of the same shape; sweep() runs the
+    sequential map once over a single state.
     """
 
     def __init__(self, g: Graph, p: PatternSet):
@@ -85,8 +86,7 @@ class FieldEngine:
             raise ValueError("pattern count times max degree overflows the field budget")
         self.g = g
         self.p = p
-        # the graph is simple, so only K_n has n (n - 1) arcs
-        if g.indices.size == g.n * (g.n - 1):
+        if g.is_complete:
             self.storage = "complete"
             self._xi = p.bits.astype(np.float64)
         else:
@@ -113,12 +113,25 @@ class FieldEngine:
             return (self._xi.T @ (self._xi @ x) - self.p.m_patterns * x).astype(np.int64)
         return (self._j @ s.astype(np.int32)).astype(np.int64)
 
-    def field_at(self, s: np.ndarray, i: int) -> int:
-        """h_i(s) for a single vertex."""
+    def sweep(self, s: np.ndarray) -> np.ndarray:
+        """One sequential sweep of the (n,) state s: vertices update in
+        index order, each seeing every earlier update.  On "complete" it
+        keeps u = Xi s and adds 2 s_i Xi[:, i] when spin i flips to s_i, so
+        a vertex costs O(M); u's entries are integers of magnitude <= n."""
+        out = np.array(s, dtype=np.int8)
         if self.storage == "complete":
-            return int(self._xi[:, i] @ (self._xi @ s)) - self.p.m_patterns * int(s[i])
-        lo, hi = self.g.indptr[i], self.g.indptr[i + 1]
-        return int(self._j.data[lo:hi] @ s[self.g.indices[lo:hi]])
+            u = self._xi @ out.astype(np.float64)
+            for i, col in enumerate(np.ascontiguousarray(self._xi.T)):
+                new = 1 if col @ u >= self.p.m_patterns * int(out[i]) else -1
+                if new != out[i]:
+                    out[i] = new
+                    u += 2 * new * col
+            return out
+        indptr, indices, data = self.g.indptr, self.g.indices, self._j.data
+        for i in range(self.g.n):
+            lo, hi = indptr[i], indptr[i + 1]
+            out[i] = 1 if data[lo:hi] @ out[indices[lo:hi]] >= 0 else -1
+        return out
 
 
 def _sign(h: np.ndarray) -> np.ndarray:
@@ -134,10 +147,7 @@ def parallel_step(engine: FieldEngine, s) -> np.ndarray:
 def sequential_sweep(engine: FieldEngine, s) -> np.ndarray:
     """One full sweep of the sequential map S = T_n ... T_2 T_1: each vertex
     updates in index order seeing all earlier updates."""
-    out = np.array(s, dtype=np.int8)
-    for i in range(engine.g.n):
-        out[i] = 1 if engine.field_at(out, i) >= 0 else -1
-    return out
+    return engine.sweep(s)
 
 
 def energy_S(engine: FieldEngine, s) -> float:

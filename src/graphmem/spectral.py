@@ -1,12 +1,13 @@
 """Adjacency spectra and the spectral conditions they feed.
 
 kappa = max(|lambda_2|, |lambda_N|) is the largest eigenvalue magnitude
-away from the top; lambda_1 - kappa is the spectral gap.  Small graphs get
-a dense symmetric eigensolve.  Large ones get ARPACK's implicitly
-restarted Lanczos (scipy.sparse.linalg.eigsh; Lehoucq, Sorensen and Yang,
-ARPACK Users' Guide, 1998): two eigenpairs at the top of the spectrum and
-one at the bottom, each from the same fixed start vector, checked by their
-residuals ||A v - lambda v||.
+away from the top; lambda_1 - kappa is the spectral gap.  K_n's spectrum
+is known in closed form (n - 1 once, -1 with multiplicity n - 1).  Every
+other graph with an edge gets ARPACK's implicitly restarted Lanczos
+(scipy.sparse.linalg.eigsh; Lehoucq, Sorensen and Yang, ARPACK Users'
+Guide, 1998): two eigenpairs at the top of the spectrum and one at the
+bottom, each from the same fixed start vector, checked by their residuals
+||A v - lambda v||.
 """
 from __future__ import annotations
 
@@ -16,10 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph, adjacency_matrix, degree_stats, DegreeStats, edge_endpoints
-
-# Dense solves stay cheap up to here; beyond it the iterative path runs.
-_DENSE_LIMIT = 4096
+from .graphs import Graph, adjacency_matrix, DegreeStats, edge_endpoints
 
 
 class SpectralSolverError(RuntimeError):
@@ -40,7 +38,7 @@ class SpectralSummary:
     lambdaN: float
     kappa: float
     gap: float
-    method: str          # "dense" | "iterative"
+    method: str          # "closed_form" | "iterative"
     residual: float
 
 
@@ -78,43 +76,24 @@ class BoundReport:
         return self.edge_ok and self.eigen_ok
 
 
-def spectrum_summary(g: Graph, tol: float = 1e-8, method: str = "auto") -> SpectralSummary:
+def spectrum_summary(g: Graph, tol: float = 1e-8) -> SpectralSummary:
     """Compute lambda1, lambda2, lambdaN, kappa and the gap of g's adjacency.
 
-    Parameters
-    ----------
-    g : Graph
-    tol : float
-        Target absolute accuracy, relative to max(1, lambda1).
-    method : str
-        "dense", "iterative", or "auto" (dense for n <= 4096).
-
-    Raises
-    ------
-    SpectralSolverError
-        If the iterative path does not converge or its residual exceeds
-        tol * max(1, |lambda1|).
+    Edgeless graphs and K_n have exact spectra ("closed_form").  Every other
+    graph has n >= 3, as ARPACK needs, and goes to Lanczos ("iterative"),
+    which raises SpectralSolverError if it does not converge or its
+    residual exceeds tol * max(1, |lambda1|).
     """
-    if method == "auto":
-        method = "dense" if g.n <= _DENSE_LIMIT else "iterative"
     if g.edge_count == 0:
-        return SpectralSummary(0.0, 0.0, 0.0, 0.0, 0.0, method, 0.0)
-    if method not in ("dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "dense" or g.n <= 2:
-        # ARPACK needs more vertices than the two top eigenpairs it returns
-        a = adjacency_matrix(g, dense=True)
-        ev = np.linalg.eigvalsh(a)
-        lam1 = float(ev[-1])
-        lam2 = float(ev[-2]) if g.n >= 2 else lam1
-        lamn = float(ev[0])
-        residual = float(np.finfo(float).eps * g.n * max(1.0, abs(lam1)))
-    else:
-        lam1, lam2, lamn, residual = _extreme_eigs_iterative(g, tol)
-    kappa = max(abs(lam2), abs(lamn)) if g.n >= 2 else 0.0
+        return SpectralSummary(0.0, 0.0, 0.0, 0.0, 0.0, "closed_form", 0.0)
+    if g.is_complete:
+        top = float(g.n - 1)
+        return SpectralSummary(top, -1.0, -1.0, 1.0, top - 1.0, "closed_form", 0.0)
+    lam1, lam2, lamn, residual = _extreme_eigs_iterative(g, tol)
+    kappa = max(abs(lam2), abs(lamn))
     return SpectralSummary(
         lambda1=lam1, lambda2=lam2, lambdaN=lamn, kappa=kappa,
-        gap=lam1 - kappa, method=method, residual=residual,
+        gap=lam1 - kappa, method="iterative", residual=residual,
     )
 
 
@@ -125,7 +104,8 @@ def _extreme_eigs_iterative(g: Graph, tol: float) -> tuple[float, float, float, 
     a = adjacency_matrix(g)
     top, top_vecs = _lanczos(a, 2, "LA")
     low, low_vecs = _lanczos(a, 1, "SA")
-    residual = max(_residual(a, top, top_vecs), _residual(a, low, low_vecs))
+    residual = max(float(np.linalg.norm(a @ v - v * w, axis=0).max())
+                   for w, v in ((top, top_vecs), (low, low_vecs)))
     if residual > tol * max(1.0, abs(top[1])):
         raise SpectralSolverError("Lanczos residual above tolerance", residual)
     return float(top[1]), float(top[0]), float(low[0]), residual
@@ -138,8 +118,9 @@ def _lanczos(a, k: int, which: str) -> tuple[np.ndarray, np.ndarray]:
     ARPACK needs n > k.  It runs from a fixed start vector, so the result
     does not depend on earlier calls.
     """
-    # imported here: scipy.sparse.linalg costs about 0.08 s and 8 MB
-    # resident, which the dense route never needs
+    # imported here: scipy.sparse.linalg costs about 0.1 s and 7 MB
+    # resident, which the closed-form spectra (the whole complete suite)
+    # never need
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     v0 = np.random.default_rng(0x5EED).standard_normal(a.shape[0])
@@ -147,11 +128,6 @@ def _lanczos(a, k: int, which: str) -> tuple[np.ndarray, np.ndarray]:
         return eigsh(a, k=k, which=which, v0=v0)
     except ArpackNoConvergence as exc:
         raise SpectralSolverError("ARPACK did not converge", math.inf) from exc
-
-
-def _residual(a, vals: np.ndarray, vecs: np.ndarray) -> float:
-    """Largest ||A v - lambda v|| over the columns of vecs."""
-    return float(np.linalg.norm(a @ vecs - vecs * vals, axis=0).max())
 
 
 def check_h1(s: SpectralSummary, d: DegreeStats, c1: float) -> ConditionReport:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import graphmem as gm
-from graphmem import cli
+from graphmem import cli, spectral
 
 
 def report(num, msg):
@@ -18,13 +18,17 @@ def report(num, msg):
 
 
 def test_criterion_01_complete_graph_spectrum():
-    # K_100: lambda1 = 99, kappa = 1, both eigensolver routes, 1e-6
+    # K_100: lambda1 = 99, kappa = 1, 1e-6, from the closed form that
+    # spectrum_summary reports and from Lanczos on the same graph
     g = gm.gen_complete(100)
-    for method in ("dense", "iterative"):
-        s = gm.spectrum_summary(g, method=method)
-        assert abs(s.lambda1 - 99.0) <= 1e-6, (method, s.lambda1)
-        assert abs(s.kappa - 1.0) <= 1e-6, (method, s.kappa)
-    report(1, "K_100 spectrum exact to 1e-6 on both solver routes")
+    s = gm.spectrum_summary(g)
+    assert s.method == "closed_form"
+    lam1, lam2, lamn, _ = spectral._extreme_eigs_iterative(g, 1e-8)
+    for route, l1, kappa in (("closed_form", s.lambda1, s.kappa),
+                             ("iterative", lam1, max(abs(lam2), abs(lamn)))):
+        assert abs(l1 - 99.0) <= 1e-6, (route, l1)
+        assert abs(kappa - 1.0) <= 1e-6, (route, kappa)
+    report(1, "K_100 spectrum exact to 1e-6 in closed form and by Lanczos")
 
 
 def test_criterion_02_gnp_spectrum_and_degree_windows():
@@ -180,7 +184,7 @@ def test_criterion_09_step_predictor_loglog_growth():
     def k_summary(n):
         return gm.SpectralSummary(lambda1=float(n - 1), lambda2=-1.0,
                                   lambdaN=-1.0, kappa=1.0, gap=float(n - 2),
-                                  method="dense", residual=0.0)
+                                  method="closed_form", residual=0.0)
 
     small = gm.predict_steps(k_summary(10 ** 3), 10, 10 ** 3, 1.0 / math.e)
     big = gm.predict_steps(k_summary(10 ** 6), 10, 10 ** 6, 1.0 / math.e)

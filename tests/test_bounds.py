@@ -174,6 +174,24 @@ def test_mgf_monte_carlo_on_large_graph():
     assert np.all(rep.empirical[:, 0] >= 1.0 - 1e-9) or rep.empirical[0, 0] == pytest.approx(1.0)
 
 
+def test_sampled_forms_match_brute_force_across_chunks():
+    # n = 333 is odd, so the 5e6-sign draw blocks end mid-word and the
+    # 250k-entry form chunks leave a remainder; every sampled S(x) must
+    # still equal the sum over edges for the signs the seed draws
+    g = graphs.gen_erdos_renyi(333, 0.1, 2)
+    samples, rows = 16_000, 5_000_000 // 333
+    rng = np.random.default_rng(7)
+    bits = np.concatenate([
+        rng.integers(0, 2, size=(min(rows, samples - lo), g.n), dtype=np.int8)
+        for lo in range(0, samples, rows)])
+    x = bits.astype(np.float64) * 2 - 1
+    src, dst = graphs.edge_endpoints(g)
+    want = np.zeros(samples)
+    for u, v in zip(src[src < dst], dst[src < dst]):
+        want += x[:, u] * x[:, v]
+    assert np.array_equal(bounds._form_values(g, samples, 7), want)
+
+
 def test_degree_tail_main_regime():
     rep = bounds.degree_tail_experiment(400, 0.15, 300, 0)
     assert rep.in_validity_range

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphmem import cli, graphs
+
+SRC = str(Path(graphs.__file__).resolve().parents[1])
 
 
 def run_cli(*args):
@@ -43,6 +49,7 @@ def test_spectrum_report(tmp_path):
     assert run_cli("spectrum", "--graph", str(gpath), "--out", str(out)) == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == "graphmem/spectrum/v1"
+    assert doc["method"] == "iterative"
     assert doc["lambda1"] >= doc["kappa"] >= 0.0
     assert doc["gap"] == pytest.approx(doc["lambda1"] - doc["kappa"])
     assert doc["degrees"]["edge_count"] > 0
@@ -176,6 +183,7 @@ def test_verify_exit_code_signals_violations(tmp_path, monkeypatch):
 def test_usage_errors_exit_2(tmp_path):
     gpath = gen_graph_file(tmp_path)
     assert run_cli("gen", "--model", "nosuch", "--n", "5", "--out", "x") == 2
+    assert run_cli("spectrum", "--graph", str(gpath), "--method", "dense") == 2
     assert run_cli("capacity", "--graph", str(gpath), "--rho", "0.7",
                    "--out", str(tmp_path / "c.csv")) == 2
     assert run_cli("reproduce", "--suite", "powerlaw", "--beta", "2.5",
@@ -269,3 +277,16 @@ def test_stdout_output_when_no_path(tmp_path, capsys):
     assert run_cli("spectrum", "--graph", str(gpath)) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == "graphmem/spectrum/v1"
+
+
+def test_module_entry_point(tmp_path):
+    # python -m graphmem runs the command line without the runpy warning
+    # that python -m graphmem.cli prints
+    out = tmp_path / "k5.txt"
+    done = subprocess.run(
+        [sys.executable, "-m", "graphmem", "gen", "--model", "complete", "--n", "5",
+         "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert graphs.load_edge_list(out) == graphs.gen_complete(5)

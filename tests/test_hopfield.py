@@ -15,13 +15,22 @@ SRC = str(Path(graphs.__file__).resolve().parents[1])
 
 def brute_weights(g, p):
     # W_ij = a_ij * sum_mu xi_i xi_j, exact integers
-    a = graphs.adjacency_matrix(g, dense=True).astype(np.int64)
+    a = graphs.adjacency_matrix(g).toarray().astype(np.int64)
     xi = p.bits.astype(np.int64)
     return a * (xi.T @ xi)
 
 
 def brute_fields(g, p, s):
     return brute_weights(g, p) @ np.asarray(s, dtype=np.int64)
+
+
+def brute_sweep(g, p, s):
+    # the sequential map vertex by vertex on the dense couplings
+    w = brute_weights(g, p)
+    out = np.array(s, dtype=np.int64)
+    for i in range(g.n):
+        out[i] = 1 if w[i] @ out >= 0 else -1
+    return out
 
 
 def brute_energy_pair(g, p, s):
@@ -76,8 +85,9 @@ def test_fields_match_brute_force(storage, density):
         got = eng.fields(s)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
-        i = int(rng.integers(n))
-        assert eng.field_at(s, i) == want[i]
+        swept = hopfield.sequential_sweep(eng, s)
+        assert swept.dtype == np.int8
+        assert np.array_equal(swept, brute_sweep(g, p, s))
         block = np.stack([random_state(rng, n) for _ in range(4)], axis=1)
         assert np.array_equal(eng.fields(block), brute_weights(g, p) @ block)
         checked += 1
@@ -116,11 +126,13 @@ def test_engine_rejects_mismatched_sizes():
 
 
 def test_local_field_singleton():
-    # field_at on one vertex, on both storages
+    # one sequential sweep on both storages, from a state it changes
     s = random_state(np.random.default_rng(0), 12)
     for g in (graphs.gen_complete(12), graphs.gen_erdos_renyi(12, 0.3, 1)):
         p = hopfield.sample_patterns(3, 12, 2)
-        assert hopfield.FieldEngine(g, p).field_at(s, 5) == brute_fields(g, p, s)[5]
+        swept = hopfield.sequential_sweep(hopfield.FieldEngine(g, p), s)
+        assert np.array_equal(swept, brute_sweep(g, p, s))
+        assert not np.array_equal(swept, s)
 
 
 def test_zero_field_resolves_to_plus_one():

@@ -20,41 +20,89 @@ SRC = str(Path(graphs.__file__).resolve().parents[1])
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+def dense_extremes(g):
+    # the oracle every spectrum_summary result is checked against
+    ev = np.linalg.eigvalsh(graphs.adjacency_matrix(g).toarray())
+    return float(ev[-1]), float(ev[-2]), float(ev[0])
+
+
+def assert_matches_dense(s, g, tol):
+    lam1, lam2, lamn = dense_extremes(g)
+    scale = max(1.0, abs(lam1))
+    assert abs(s.lambda1 - lam1) < tol * scale
+    assert abs(s.lambda2 - lam2) < tol * scale
+    assert abs(s.lambdaN - lamn) < tol * scale
+    assert s.kappa == max(abs(s.lambda2), abs(s.lambdaN))
+    assert s.gap == s.lambda1 - s.kappa
+
+
+def all_graphs(n):
+    # every labelled graph on n vertices, one bit per vertex pair
+    iu, iv = np.triu_indices(n, k=1)
+    for code in range(2 ** iu.size):
+        keep = (code >> np.arange(iu.size)) & 1 == 1
+        yield graphs._from_pairs(n, iu[keep], iv[keep])
+
+
 def test_complete_graph_spectrum_dense():
-    s = spectral.spectrum_summary(graphs.gen_complete(8), method="dense")
-    assert s.method == "dense"
-    assert s.lambda1 == pytest.approx(7.0, abs=1e-9)
-    assert s.lambda2 == pytest.approx(-1.0, abs=1e-9)
-    assert s.lambdaN == pytest.approx(-1.0, abs=1e-9)
-    assert s.kappa == pytest.approx(1.0, abs=1e-9)
-    assert s.gap == pytest.approx(6.0, abs=1e-9)
+    # K_n in closed form matches the dense solve: n - 1, then -1 twice
+    for n in range(2, 65):
+        g = graphs.gen_complete(n)
+        s = spectral.spectrum_summary(g)
+        assert s.method == "closed_form"
+        assert (s.lambda1, s.lambda2, s.lambdaN) == (n - 1, -1.0, -1.0)
+        assert (s.kappa, s.gap, s.residual) == (1.0, n - 2, 0.0)
+        assert_matches_dense(s, g, 1e-9)
 
 
 def test_complete_graph_spectrum_iterative():
-    s = spectral.spectrum_summary(graphs.gen_complete(8), method="iterative")
-    assert s.method == "iterative"
-    assert s.lambda1 == pytest.approx(7.0, abs=1e-6)
-    assert s.lambda2 == pytest.approx(-1.0, abs=1e-6)
-    assert s.lambdaN == pytest.approx(-1.0, abs=1e-6)
+    g = graphs.gen_complete(8)
+    lam1, lam2, lamn, residual = spectral._extreme_eigs_iterative(g, 1e-8)
+    assert lam1 == pytest.approx(7.0, abs=1e-6)
+    assert lam2 == pytest.approx(-1.0, abs=1e-6)
+    assert lamn == pytest.approx(-1.0, abs=1e-6)
+    assert 0.0 <= residual <= 1e-8 * 7.0
+
+
+def test_lanczos_matches_dense_on_small_graphs_and_clique_unions():
+    # every graph on up to 5 vertices, then disjoint unions of 2-6 equal
+    # cliques, whose top eigenvalue is repeated
+    cases = [g for n in range(1, 6) for g in all_graphs(n)]
+    for k in range(2, 7):
+        for size in (3, 5, 8):
+            iu, iv = np.triu_indices(size, k=1)
+            shift = np.repeat(np.arange(k) * size, iu.size)
+            cases.append(graphs._from_pairs(k * size, np.tile(iu, k) + shift,
+                                            np.tile(iv, k) + shift))
+    for g in cases:
+        s = spectral.spectrum_summary(g)
+        if g.edge_count == 0:
+            assert (s.lambda1, s.lambda2, s.lambdaN, s.kappa, s.gap) == (0, 0, 0, 0, 0)
+            continue
+        assert s.method == ("closed_form" if g.is_complete else "iterative")
+        assert_matches_dense(s, g, 1e-9)
 
 
 def test_star_spectrum_both_methods(tmp_path):
     # K_{1,9}: eigenvalues are +-3 and a 0 of multiplicity 8
     text = "10 9\n" + "".join(f"0 {j}\n" for j in range(1, 10))
     g = load_lines(tmp_path, text)
-    for method in ("dense", "iterative"):
-        s = spectral.spectrum_summary(g, method=method)
-        assert s.lambda1 == pytest.approx(3.0, abs=1e-6)
-        assert s.lambda2 == pytest.approx(0.0, abs=1e-6)
-        assert s.lambdaN == pytest.approx(-3.0, abs=1e-6)
-        assert s.kappa == pytest.approx(3.0, abs=1e-6)
-        assert s.gap == pytest.approx(0.0, abs=1e-6)
+    s = spectral.spectrum_summary(g)
+    assert s.method == "iterative"
+    for got, want in zip((s.lambda1, s.lambda2, s.lambdaN), dense_extremes(g)):
+        assert got == pytest.approx(want, abs=1e-6)
+    assert s.lambda1 == pytest.approx(3.0, abs=1e-6)
+    assert s.lambda2 == pytest.approx(0.0, abs=1e-6)
+    assert s.lambdaN == pytest.approx(-3.0, abs=1e-6)
+    assert s.kappa == pytest.approx(3.0, abs=1e-6)
+    assert s.gap == pytest.approx(0.0, abs=1e-6)
 
 
 def test_path_p4_spectrum(tmp_path):
     # P_4 eigenvalues are 2 cos(k pi / 5): the golden ratio and its relatives
     g = load_lines(tmp_path, "4 3\n0 1\n1 2\n2 3\n")
-    s = spectral.spectrum_summary(g, method="dense")
+    s = spectral.spectrum_summary(g)
+    assert_matches_dense(s, g, 1e-9)
     assert s.lambda1 == pytest.approx(GOLDEN, abs=1e-9)
     assert s.lambda2 == pytest.approx(GOLDEN - 1.0, abs=1e-9)
     assert s.lambdaN == pytest.approx(-GOLDEN, abs=1e-9)
@@ -63,11 +111,12 @@ def test_path_p4_spectrum(tmp_path):
 
 def test_cycle_c6_spectrum(tmp_path):
     g = load_lines(tmp_path, "6 6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n")
-    for method in ("dense", "iterative"):
-        s = spectral.spectrum_summary(g, method=method)
-        assert s.lambda1 == pytest.approx(2.0, abs=1e-6)
-        assert s.lambda2 == pytest.approx(1.0, abs=1e-6)
-        assert s.lambdaN == pytest.approx(-2.0, abs=1e-6)
+    s = spectral.spectrum_summary(g)
+    for got, want in zip((s.lambda1, s.lambda2, s.lambdaN), dense_extremes(g)):
+        assert got == pytest.approx(want, abs=1e-6)
+    assert s.lambda1 == pytest.approx(2.0, abs=1e-6)
+    assert s.lambda2 == pytest.approx(1.0, abs=1e-6)
+    assert s.lambdaN == pytest.approx(-2.0, abs=1e-6)
 
 
 def test_disconnected_cliques_have_degenerate_top():
@@ -93,12 +142,7 @@ def test_methods_agree_on_random_graphs():
         n = int(rng.integers(20, 120))
         p = float(rng.uniform(0.05, 0.6))
         g = graphs.gen_erdos_renyi(n, p, int(rng.integers(2 ** 31)))
-        d = spectral.spectrum_summary(g, method="dense")
-        it = spectral.spectrum_summary(g, method="iterative")
-        scale = max(1.0, abs(d.lambda1))
-        assert abs(d.lambda1 - it.lambda1) < 1e-6 * scale
-        assert abs(d.lambda2 - it.lambda2) < 1e-6 * scale
-        assert abs(d.lambdaN - it.lambdaN) < 1e-6 * scale
+        assert_matches_dense(spectral.spectrum_summary(g), g, 1e-6)
 
 
 def test_summary_invariants_hold():
@@ -118,7 +162,7 @@ def test_unreachable_tolerance_raises():
     # 1e-18 is below float64 resolution: no residual can reach it
     g = graphs.gen_erdos_renyi(100, 0.3, 9)
     with pytest.raises(spectral.SpectralSolverError) as exc:
-        spectral.spectrum_summary(g, tol=1e-18, method="iterative")
+        spectral.spectrum_summary(g, tol=1e-18)
     assert exc.value.residual > 0.0
 
 
@@ -132,24 +176,29 @@ def test_arpack_non_convergence_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(sla, "eigsh", stalled)
     g = graphs.gen_erdos_renyi(100, 0.3, 9)
     with pytest.raises(spectral.SpectralSolverError) as exc:
-        spectral.spectrum_summary(g, method="iterative")
+        spectral.spectrum_summary(g)
     assert exc.value.residual == math.inf
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_iterative_on_small_complete_graphs(n):
-    # K_n: n - 1 once and -1 with multiplicity n - 1; K_1 has no edges
-    s = spectral.spectrum_summary(graphs.gen_complete(n), method="iterative")
-    assert s.method == "iterative"
+    # K_n: n - 1 once and -1 with multiplicity n - 1; K_1 has no edges.
+    # spectrum_summary never sends K_n to Lanczos, which for the two top
+    # eigenpairs needs n >= 3; from there Lanczos agrees with the closed form
+    g = graphs.gen_complete(n)
+    s = spectral.spectrum_summary(g)
+    assert s.method == "closed_form"
     top, rest = (n - 1, -1.0) if n > 1 else (0.0, 0.0)
-    assert s.lambda1 == pytest.approx(top, abs=1e-9)
-    assert s.lambda2 == pytest.approx(rest, abs=1e-9)
-    assert s.lambdaN == pytest.approx(rest, abs=1e-9)
-    assert s.gap == pytest.approx(top - abs(rest), abs=1e-9)
+    assert (s.lambda1, s.lambda2, s.lambdaN, s.gap) == (top, rest, rest, top - abs(rest))
+    if n >= 3:
+        lam1, lam2, lamn, _ = spectral._extreme_eigs_iterative(g, 1e-8)
+        assert lam1 == pytest.approx(top, abs=1e-9)
+        assert lam2 == pytest.approx(rest, abs=1e-9)
+        assert lamn == pytest.approx(rest, abs=1e-9)
 
 
 def test_iterative_on_large_sparse_graph():
-    # the auto route at n > 4096; G(20000, 0.002) has about 400k arcs
+    # G(20000, 0.002) has about 400k arcs
     g = graphs.gen_erdos_renyi(20_000, 0.002, 3)
     s = spectral.spectrum_summary(g)
     assert s.method == "iterative"
@@ -162,18 +211,13 @@ def test_iterative_on_large_sparse_graph():
     assert 0.0 < s.kappa < 15.0
 
 
-def test_dense_route_does_not_load_the_sparse_eigensolver():
+def test_complete_graph_spectrum_does_not_load_the_sparse_eigensolver():
     code = ("import sys, graphmem\n"
             "graphmem.spectrum_summary(graphmem.gen_complete(50))\n"
             "print('scipy.sparse.linalg' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
     assert out.stdout.strip() == "False"
-
-
-def test_bad_method_rejected():
-    with pytest.raises(ValueError):
-        spectral.spectrum_summary(graphs.gen_complete(4), method="lanczos")
 
 
 def test_min_degree_condition_report():
@@ -210,13 +254,13 @@ def test_expansion_condition_report():
 
 
 def brute_pair_count(g, J, I):
-    a = graphs.adjacency_matrix(g, dense=True)
+    a = graphs.adjacency_matrix(g).toarray()
     return int(a[np.ix_(J, I)].sum())
 
 
 def brute_crossing_top_eig(g, J, I):
     # symmetrized graph on the edges with one endpoint in J, the other in I
-    a = graphs.adjacency_matrix(g, dense=True)
+    a = graphs.adjacency_matrix(g).toarray()
     mask_i = np.zeros(g.n, dtype=bool)
     mask_i[np.asarray(I)] = True
     mask_j = np.zeros(g.n, dtype=bool)
