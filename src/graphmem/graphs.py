@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Above this vertex count the O(n^2) per-pair samplers switch to
-# geometric-skipping samplers with the same edge distribution.
-_PAIRWISE_LIMIT = 10_000
+# save_edge_list formats this many edges per write
+_WRITE_CHUNK = 1 << 16
 
 
 class EdgeListParseError(ValueError):
@@ -142,15 +141,14 @@ def make_weights(weights, i0=None, c=None, beta=None) -> WeightSequence:
 
 def _from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     """Build CSR arrays from unique undirected pairs (u[k] < v[k])."""
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
+    # one int64 key src * n + dst per arc: sorting it orders arcs by
+    # source, then target
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    src, dst = np.divmod(keys, n)
     degrees = np.bincount(src, minlength=n).astype(np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    return Graph(n=n, indptr=indptr, indices=dst.astype(np.int64), degrees=degrees)
+    return Graph(n=n, indptr=indptr, indices=dst, degrees=degrees)
 
 
 def gen_complete(n: int) -> Graph:
@@ -171,12 +169,13 @@ def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
     """Erdos-Renyi graph G(n, p): each of the n-choose-2 pairs is an edge
     independently with probability p.
 
+    Drawn by the same sampler as ``gen_chung_lu``, with every weight 1 and
+    rho = p, in O(n + |E|) expected time.
+
     Parameters
     ----------
     n : int
-        Vertex count, >= 1.  Up to 10^4 vertices one uniform is drawn per
-        candidate pair; above, a geometric-skipping sampler with the same
-        edge distribution runs in O(n + |E|) time.
+        Vertex count, >= 1.
     p : float
         Edge probability in [0, 1].
     seed : int or numpy Generator
@@ -191,38 +190,41 @@ def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
     if p == 1.0:
         return gen_complete(n)
     rng = np.random.default_rng(seed)
-    sampler = _gnp_pairwise_pairs if n <= _PAIRWISE_LIMIT else _gnp_skip_pairs
-    return _from_pairs(n, *sampler(n, p, rng))
+    return _from_pairs(n, *_edge_pairs(np.ones(n), p, rng))
 
 
-def _gnp_pairwise_pairs(n: int, p: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One uniform per candidate pair, row by row in lexicographic order."""
+def _edge_pairs(weights, rho, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Miller-Hagberg sampler, run on all rows at once: pair {i, j}, i < j,
+    is an edge with probability P_ij = min(rho * w_i * w_j, 1).
+
+    Row i walks j = i+1, i+2, ... with a bound p_i >= P_ij: it skips a
+    geometric(p_i) number of candidates, accepts the one it lands on with
+    probability P_ij / p_i, and lowers its bound to P_ij.  The bound holds
+    because the weights are non-increasing.  Each round draws one uniform
+    per live row for the skip and one per surviving row for the
+    acceptance, in ascending row order.
+    """
+    n = weights.size
+    rows = np.flatnonzero(weights[:-1] > 0)
+    j = rows + 1
+    p = np.minimum(rho * weights[rows] * weights[j], 1.0)
     us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for i in range(n - 1):
-        hits = np.nonzero(rng.random(n - 1 - i) < p)[0]
-        if hits.size:
-            us.append(np.full(hits.size, i, dtype=np.int64))
-            vs.append(hits.astype(np.int64) + i + 1)
+    while rows.size:
+        live = p > 0
+        rows, j, p = rows[live], j[live], p[live]
+        with np.errstate(divide="ignore"):     # log(1 - p) = -inf at p = 1
+            skip = np.floor(np.log1p(-rng.random(rows.size)) / np.log1p(-p))
+        j = np.minimum(j + skip, n).astype(np.int64)
+        live = j < n
+        rows, j, p = rows[live], j[live], p[live]
+        q = np.minimum(rho * weights[rows] * weights[j], 1.0)
+        hit = rng.random(rows.size) < q / p
+        us.append(rows[hit])
+        vs.append(j[hit])
+        j, p = j + 1, q
+        live = j < n
+        rows, j, p = rows[live], j[live], p[live]
     return np.concatenate(us), np.concatenate(vs)
-
-
-def _gnp_skip_pairs(n: int, p: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Batagelj-Brandes sampler: jump between successes of a Bernoulli(p)
-    stream over the lexicographic pair order, skipping failures in one
-    geometric draw."""
-    lp = math.log1p(-p)
-    us, vs = [], []
-    v = 1
-    w = -1
-    while v < n:
-        w += 1 + int(math.log(1.0 - rng.random()) / lp)
-        while w >= v and v < n:
-            w -= v
-            v += 1
-        if v < n:
-            us.append(w)
-            vs.append(v)
-    return np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
 
 
 def powerlaw_weights(n: int, beta: float, d_avg: float, m_bar: float) -> WeightSequence:
@@ -262,56 +264,14 @@ def gen_chung_lu(w: WeightSequence, seed) -> Graph:
     Self-pairs are never considered, so vertex i has expected degree
     w_i * (1 - rho * w_i), which is w_i up to the excluded self-loop term.
 
-    Up to 10^4 vertices one uniform is drawn per candidate pair; above,
-    the Miller-Hagberg sampler runs in O(n + |E|) expected time with the
-    exact same edge distribution.  It needs the weights sorted
-    non-increasing, which WeightSequence guarantees.
+    The Miller-Hagberg sampler draws the graph in O(n + |E|) expected time.
+    It needs the weights non-increasing, which ``make_weights`` checks;
+    a hand-built WeightSequence that increases anywhere raises ValueError.
     """
-    n = w.n
+    if np.any(np.diff(w.weights) > 0):
+        raise ValueError("weights must be non-increasing")
     rng = np.random.default_rng(seed)
-    sampler = _chung_lu_pairwise_pairs if n <= _PAIRWISE_LIMIT else _chung_lu_skip_pairs
-    return _from_pairs(n, *sampler(w.weights, w.rho_norm, rng))
-
-
-def _chung_lu_pairwise_pairs(weights, rho, rng) -> tuple[np.ndarray, np.ndarray]:
-    """One uniform per candidate pair, row by row in lexicographic order."""
-    n = weights.size
-    us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for i in range(n - 1):
-        if weights[i] == 0.0:
-            break  # non-increasing: everything after is zero too
-        probs = rho * weights[i] * weights[i + 1:]
-        hits = np.nonzero(rng.random(n - 1 - i) < probs)[0]
-        if hits.size:
-            us.append(np.full(hits.size, i, dtype=np.int64))
-            vs.append(hits.astype(np.int64) + i + 1)
-    return np.concatenate(us), np.concatenate(vs)
-
-
-def _chung_lu_skip_pairs(weights, rho, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Miller-Hagberg sampler: within row i, skip ahead geometrically using
-    the current probability as an upper bound (valid since weights are
-    non-increasing in j), then accept with ratio q/p."""
-    n = weights.size
-    us, vs = [], []
-    for i in range(n - 1):
-        wi = weights[i]
-        if wi == 0.0:
-            break
-        j = i + 1
-        p = min(rho * wi * weights[j], 1.0)
-        while j < n and p > 0.0:
-            if p < 1.0:
-                j += int(math.log(1.0 - rng.random()) / math.log1p(-p))
-            if j >= n:
-                break
-            q = min(rho * wi * weights[j], 1.0)
-            if rng.random() < q / p:
-                us.append(i)
-                vs.append(j)
-            p = q
-            j += 1
-    return np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
+    return _from_pairs(w.n, *_edge_pairs(w.weights, w.rho_norm, rng))
 
 
 def gen_two_cliques(m_small: int, n: int, bridged: bool = False) -> Graph:
@@ -389,10 +349,12 @@ def save_edge_list(g: Graph, path) -> None:
     "i j" line per undirected edge with i < j, 0-based, ascending."""
     src, dst = edge_endpoints(g)
     keep = src < dst
+    u, v = src[keep], dst[keep]
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.edge_count}\n")
-        for i, j in zip(src[keep], dst[keep]):
-            fh.write(f"{i} {j}\n")
+        for k in range(0, u.size, _WRITE_CHUNK):
+            chunk = slice(k, k + _WRITE_CHUNK)
+            fh.write("".join(map("{} {}\n".format, u[chunk].tolist(), v[chunk].tolist())))
 
 
 def load_edge_list(path) -> Graph:

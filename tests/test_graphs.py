@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import tempfile
@@ -12,22 +13,6 @@ from graphmem import graphs
 def brute_degrees(g):
     a = graphs.adjacency_matrix(g).toarray()
     return a.sum(axis=1).astype(int)
-
-
-# the two samplers behind each generator, which picks one by n alone
-GNP_SAMPLERS = {"pairwise": graphs._gnp_pairwise_pairs, "skip": graphs._gnp_skip_pairs}
-CHUNG_LU_SAMPLERS = {"pairwise": graphs._chung_lu_pairwise_pairs,
-                     "skip": graphs._chung_lu_skip_pairs}
-
-
-def gnp_with(sampler, n, p, seed):
-    u, v = GNP_SAMPLERS[sampler](n, p, np.random.default_rng(seed))
-    return graphs._from_pairs(n, u, v)
-
-
-def chung_lu_with(sampler, w, seed):
-    u, v = CHUNG_LU_SAMPLERS[sampler](w.weights, w.rho_norm, np.random.default_rng(seed))
-    return graphs._from_pairs(w.n, u, v)
 
 
 def test_complete_graph_structure():
@@ -73,26 +58,71 @@ def test_gnp_is_deterministic_and_valid():
     assert a != c
 
 
-@pytest.mark.parametrize("sampler", ["pairwise", "skip"])
-def test_gnp_edge_count_concentrates(sampler):
+def test_gnp_edge_count_concentrates():
     # mean = C(n,2) p, sd = sqrt(C(n,2) p (1-p)); 12 seeds, 4 sigma on the mean
     n, p = 600, 0.05
     pairs = n * (n - 1) // 2
     mean, sd = pairs * p, math.sqrt(pairs * p * (1 - p))
-    counts = [gnp_with(sampler, n, p, s).edge_count for s in range(12)]
+    counts = [graphs.gen_erdos_renyi(n, p, s).edge_count for s in range(12)]
     assert abs(np.mean(counts) - mean) < 4 * sd / math.sqrt(len(counts))
 
 
-def test_gnp_samplers_agree_on_degree_distribution():
-    # the per-pair and skip samplers target the same law; compare pooled
-    # degree samples with a two-sample KS test at the 1% level
-    from scipy import stats
-    deg_a, deg_b = [], []
-    for s in range(6):
-        deg_a.append(brute_degrees(gnp_with("pairwise", 400, 0.08, s)))
-        deg_b.append(brute_degrees(gnp_with("skip", 400, 0.08, 100 + s)))
-    res = stats.ks_2samp(np.concatenate(deg_a), np.concatenate(deg_b))
-    assert res.pvalue > 0.01
+@pytest.mark.parametrize("weights,rho", [
+    # pair probabilities clamped at 1 among the heavy rows, and a zero weight
+    ([3.0, 2.5, 2.0, 1.2, 1.0, 0.7, 0.3, 0.0], 0.2),
+    # G(8, 0.3): constant weights, every candidate kept
+    ([1.0] * 8, 0.3),
+], ids=["chung-lu", "gnp"])
+def test_edge_sampler_is_exact(weights, rho):
+    # per-pair inclusion frequency against P_ij = min(rho w_i w_j, 1), and
+    # the edge-count variance against sum P (1 - P), each within 5 sd
+    w = np.array(weights)
+    n, reps = w.size, 3000
+    iu, iv = np.triu_indices(n, k=1)
+    prob = np.minimum(rho * w[iu] * w[iv], 1.0)
+    rng = np.random.default_rng(7)
+    keys, counts = [], np.empty(reps)
+    for r in range(reps):
+        u, v = graphs._edge_pairs(w, rho, rng)
+        keys.append(u * n + v)
+        counts[r] = u.size
+    freq = np.bincount(np.concatenate(keys), minlength=n * n)[iu * n + iv] / reps
+    var = prob * (1 - prob)
+    assert np.all(np.abs(freq - prob) <= 5 * np.sqrt(var / reps))
+    # Var(s^2) ~ (sum of Bernoulli 4th cumulants + 2 sigma^4) / reps
+    sigma2 = var.sum()
+    kappa4 = (var * (1 - 6 * var)).sum()
+    assert abs(counts.var(ddof=1) - sigma2) < 5 * math.sqrt((kappa4 + 2 * sigma2 ** 2) / reps)
+
+
+def test_edge_counts_at_20000_vertices():
+    # 4 seeds per model, 5 sd on the mean edge count
+    n, p = 20_000, 5e-4
+    pairs = n * (n - 1) // 2
+    counts = [graphs.gen_erdos_renyi(n, p, s).edge_count for s in range(4)]
+    assert abs(np.mean(counts) - pairs * p) < 5 * math.sqrt(pairs * p * (1 - p) / 4)
+    w = graphs.powerlaw_weights(n, 3.5, 10.0, 100.0)
+    x, rho = w.weights, w.rho_norm
+    # sum over i < j of P = rho w_i w_j and of P^2, in closed form
+    s1 = rho * (x.sum() ** 2 - (x ** 2).sum()) / 2
+    s2 = rho ** 2 * ((x ** 2).sum() ** 2 - (x ** 4).sum()) / 2
+    counts = [graphs.gen_chung_lu(w, s).edge_count for s in range(4)]
+    assert abs(np.mean(counts) - s1) < 5 * math.sqrt((s1 - s2) / 4)
+
+
+def test_seed_fixes_the_graph(tmp_path):
+    # pins the seed -> graph mapping: changing the sampler or the order of
+    # its draws changes these digests
+    path = tmp_path / "g.txt"
+    digests = []
+    for g in (graphs.gen_erdos_renyi(50, 0.1, 0),
+              graphs.gen_chung_lu(graphs.make_weights(np.linspace(8.0, 0.0, 50)), 0)):
+        graphs.save_edge_list(g, path)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests == [
+        "4880887c18483cae46c6c6f75f3cb1803ea0ef424e812bc17e6972e0c72c553c",  # 106 edges
+        "1cb8c7019dc35716cf207441ae713f1ff41b9679d2060d802d8dabb673a93bcd",  # 73 edges
+    ]
 
 
 def test_make_weights_copies_and_validates():
@@ -144,14 +174,11 @@ def test_powerlaw_second_order_average_exceeds_first():
     assert 1.2 < d2 / d < 2.0
 
 
-def test_generators_pick_the_sampler_by_n():
-    # up to 10^4 vertices the per-pair sampler draws the graph, above it
-    # the skip sampler; a seed fixes the graph either way
-    assert graphs.gen_erdos_renyi(300, 0.05, 4) == gnp_with("pairwise", 300, 0.05, 4)
-    assert graphs.gen_erdos_renyi(10_001, 1e-4, 4) == gnp_with("skip", 10_001, 1e-4, 4)
-    for n, kind in ((300, "pairwise"), (10_001, "skip")):
-        w = graphs.make_weights(np.linspace(3.0, 1.0, n))
-        assert graphs.gen_chung_lu(w, 6) == chung_lu_with(kind, w, 6)
+def test_chung_lu_rejects_increasing_weights():
+    # a hand-built WeightSequence skips make_weights' order check
+    w = graphs.WeightSequence(np.array([1.0, 2.0, 3.0]), rho_norm=1.0 / 6.0)
+    with pytest.raises(ValueError, match="non-increasing"):
+        graphs.gen_chung_lu(w, 0)
 
 
 def test_chung_lu_matches_expected_degrees():
@@ -166,17 +193,6 @@ def test_chung_lu_matches_expected_degrees():
     expect = w.weights * (1.0 - w.rho_norm * w.weights)
     sd = np.sqrt(np.maximum(expect, 1e-9) / reps)
     assert np.all(np.abs(emp - expect) < 5 * sd + 0.05)
-
-
-def test_chung_lu_samplers_agree():
-    from scipy import stats
-    w = graphs.make_weights(np.linspace(12.0, 0.5, 500))
-    deg_a, deg_b = [], []
-    for s in range(6):
-        deg_a.append(brute_degrees(chung_lu_with("pairwise", w, s)))
-        deg_b.append(brute_degrees(chung_lu_with("skip", w, 50 + s)))
-    res = stats.ks_2samp(np.concatenate(deg_a), np.concatenate(deg_b))
-    assert res.pvalue > 0.01
 
 
 def test_chung_lu_zero_weight_vertices_are_isolated():
@@ -260,6 +276,14 @@ def test_edge_list_round_trip(tmp_path):
         path = tmp_path / "g.txt"
         graphs.save_edge_list(g, path)
         assert graphs.load_edge_list(path) == g
+
+
+def test_zero_vertex_edge_list_loads(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("0 0\n")
+    g = graphs.load_edge_list(path)
+    graphs.validate_graph(g)
+    assert g.n == 0 and g.edge_count == 0
 
 
 def test_edge_list_format(tmp_path):
