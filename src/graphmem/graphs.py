@@ -8,12 +8,17 @@ deterministic given it.
 from __future__ import annotations
 
 import math
+import re
+import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
 # save_edge_list formats this many edges per write
 _WRITE_CHUNK = 1 << 16
+# load_edge_list counts lines in reads of this many characters
+_READ_CHUNK = 1 << 16
 
 
 class EdgeListParseError(ValueError):
@@ -139,16 +144,25 @@ def make_weights(weights, i0=None, c=None, beta=None) -> WeightSequence:
     return WeightSequence(w, rho_norm=1.0 / total, i0=i0, c=c, beta=beta)
 
 
+def _arc_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One int64 key src * n + dst per arc of the undirected pairs
+    (u[k], v[k]), sorted: the order is by source, then target."""
+    keys = np.concatenate([u * n + v, v * n + u])
+    keys.sort()
+    return keys
+
+
+def _from_keys(n: int, keys: np.ndarray) -> Graph:
+    """Build CSR arrays from the sorted arc keys of a simple graph.  Reuses
+    ``keys`` as the targets."""
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    keys %= n
+    return Graph(n=n, indptr=indptr, indices=keys, degrees=np.diff(indptr))
+
+
 def _from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     """Build CSR arrays from unique undirected pairs (u[k] < v[k])."""
-    # one int64 key src * n + dst per arc: sorting it orders arcs by
-    # source, then target
-    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
-    src, dst = np.divmod(keys, n)
-    degrees = np.bincount(src, minlength=n).astype(np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    return Graph(n=n, indptr=indptr, indices=dst, degrees=degrees)
+    return _from_keys(n, _arc_keys(n, u, v))
 
 
 def gen_complete(n: int) -> Graph:
@@ -349,40 +363,107 @@ def save_edge_list(g: Graph, path) -> None:
     "i j" line per undirected edge with i < j, 0-based, ascending."""
     src, dst = edge_endpoints(g)
     keep = src < dst
-    u, v = src[keep], dst[keep]
+    pairs = np.column_stack([src[keep], dst[keep]])
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.edge_count}\n")
-        for k in range(0, u.size, _WRITE_CHUNK):
-            chunk = slice(k, k + _WRITE_CHUNK)
-            fh.write("".join(map("{} {}\n".format, u[chunk].tolist(), v[chunk].tolist())))
+        for k in range(0, len(pairs), _WRITE_CHUNK):
+            chunk = pairs[k:k + _WRITE_CHUNK]
+            fh.write(("{} {}\n" * len(chunk)).format(*chunk.ravel().tolist()))
 
 
 def load_edge_list(path) -> Graph:
-    """Parse the edge-list format written by save_edge_list.
+    r"""Parse the edge-list format written by save_edge_list.
+
+    Syntax: a header line "n edge_count", then one "i j" line per edge.
+    Fields are ASCII integers with an optional sign, separated by
+    whitespace; lines end in "\n" or "\r\n", the last one optionally in
+    neither; there are no comments and no blank lines.
+
+    The body is parsed by one ``np.loadtxt`` call and checked with
+    whole-array tests.  Only a file that fails them is read again, line by
+    line, to find and quote its first bad line.
 
     Raises EdgeListParseError (with the 1-based line number) on a malformed
     line, an out-of-range vertex, a self-loop, an out-of-order pair, a
-    duplicate edge, or an edge count that disagrees with the header.
+    duplicate edge, or an edge count that disagrees with the header.  On a
+    line with several faults the first of that list is reported.
     """
     with open(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise EdgeListParseError(1, "missing header line")
-        header = header.rstrip("\n")
-        head = header.split()
-        if len(head) != 2:
-            raise EdgeListParseError(1, f"expected 'n edge_count', got {header!r}")
+        n, count = _read_header(fh)
+        lines = _count_lines(fh)
+    pairs = _parse_pairs(path) if lines else np.empty((0, 2), np.int64)
+    # np.loadtxt skips blank lines: a blank line leaves fewer rows than lines
+    if pairs is not None and pairs.shape == (count, 2) and lines == count:
+        u, v = pairs[:, 0], pairs[:, 1]
+        if not np.any((u < 0) | (v >= n) | (u >= v)):
+            keys = _arc_keys(n, u, v)
+            # a repeated edge leaves two equal neighbouring keys
+            if not np.any(keys[1:] == keys[:-1]):
+                return _from_keys(n, keys)
+    _raise_first_bad_line(path, n, count)
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _to_int(field: str) -> int:
+    """int(field) for the integers np.loadtxt reads: no "_" separators and
+    no digits outside ASCII."""
+    if not _INTEGER.fullmatch(field):
+        raise ValueError(field)
+    return int(field)
+
+
+def _read_header(fh) -> tuple[int, int]:
+    """Read and check the "n edge_count" line of an open edge-list file."""
+    header = fh.readline()
+    if not header:
+        raise EdgeListParseError(1, "missing header line")
+    header = header.rstrip("\n")
+    head = header.split()
+    if len(head) != 2:
+        raise EdgeListParseError(1, f"expected 'n edge_count', got {header!r}")
+    try:
+        n, count = _to_int(head[0]), _to_int(head[1])
+    except ValueError:
+        raise EdgeListParseError(1, f"non-integer header field in {header!r}") from None
+    if n < 0 or count < 0:
+        raise EdgeListParseError(1, "negative header field")
+    return n, count
+
+
+def _count_lines(fh) -> int:
+    """Number of lines left in the text file fh."""
+    lines, last = 0, "\n"
+    for chunk in iter(lambda: fh.read(_READ_CHUNK), ""):
+        lines += chunk.count("\n")
+        last = chunk[-1]
+    return lines + (last != "\n")
+
+
+def _parse_pairs(path) -> np.ndarray | None:
+    """The body of an edge-list file as an int64 array of rows, or None
+    where np.loadtxt fails."""
+    with warnings.catch_warnings():
+        # a whitespace-only body is "no data" to loadtxt; the line count
+        # already tells it from an empty one
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # numpy 1.x reads "1.0" as the integer 1 with this warning
+        warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                DeprecationWarning)
         try:
-            n, count = int(head[0]), int(head[1])
+            return np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2, skiprows=1)
         except ValueError:
-            raise EdgeListParseError(1, f"non-integer header field in {header!r}") from None
-        if n < 0 or count < 0:
-            raise EdgeListParseError(1, "negative header field")
-        seen: set[int] = set()     # i * n + j for every edge read so far
-        u = np.empty(count, dtype=np.int64)
-        v = np.empty(count, dtype=np.int64)
-        k = 0
-        lineno = 1
+            return None
+
+
+def _raise_first_bad_line(path, n: int, count: int) -> NoReturn:
+    """Raise the EdgeListParseError of the first bad line of an edge-list
+    file that failed load_edge_list's whole-array checks."""
+    first: dict[int, int] = {}     # i * n + j -> the line it first appears on
+    lineno = 1
+    with open(path) as fh:
+        fh.readline()
         for lineno, raw in enumerate(fh, start=2):
             raw = raw.rstrip("\n")
             if not raw.strip():
@@ -391,7 +472,7 @@ def load_edge_list(path) -> Graph:
             if len(parts) != 2:
                 raise EdgeListParseError(lineno, f"expected 'i j', got {raw!r}")
             try:
-                i, j = int(parts[0]), int(parts[1])
+                i, j = _to_int(parts[0]), _to_int(parts[1])
             except ValueError:
                 raise EdgeListParseError(lineno, f"non-integer vertex in {raw!r}") from None
             if not (0 <= i < n and 0 <= j < n):
@@ -401,16 +482,11 @@ def load_edge_list(path) -> Graph:
             if i > j:
                 raise EdgeListParseError(lineno, f"vertices out of order in {raw!r}")
             key = i * n + j
-            if key in seen:
-                # edge k sits on line k + 2, after the header
-                first = int(np.flatnonzero((u[:k] == i) & (v[:k] == j))[0]) + 2
-                raise EdgeListParseError(lineno, f"duplicate edge {i} {j} (first at line {first})")
-            seen.add(key)
-            if k >= count:
+            if key in first:
+                raise EdgeListParseError(
+                    lineno, f"duplicate edge {i} {j} (first at line {first[key]})")
+            if len(first) >= count:
                 raise EdgeListParseError(lineno, f"more than {count} edges declared in header")
-            u[k] = i
-            v[k] = j
-            k += 1
-    if k != count:
-        raise EdgeListParseError(lineno, f"header declares {count} edges, found {k}")
-    return _from_pairs(n, u, v)
+            first[key] = lineno
+    # every line is sound, so the checks failed on the edge count
+    raise EdgeListParseError(lineno, f"header declares {count} edges, found {len(first)}")

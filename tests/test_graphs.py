@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -384,6 +385,201 @@ def test_edge_list_round_trip_every_generator(g):
     graphs.validate_graph(back)
     assert back == g
     assert np.array_equal(back.degrees, g.degrees)
+
+
+def test_integer_fields_are_ascii_digits(tmp_path):
+    # np.loadtxt reads neither "_" separators nor other scripts' digits,
+    # although Python's int() reads both
+    path = tmp_path / "g.txt"
+    for text, want in [("3 1\n0 1_0\n", "line 2: non-integer vertex in '0 1_0'"),
+                       ("3 1\n0 ٢\n", "line 2: non-integer vertex in '0 ٢'"),
+                       ("1_0 0\n", "line 1: non-integer header field in '1_0 0'")]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(graphs.EdgeListParseError) as exc:
+            graphs.load_edge_list(path)
+        assert str(exc.value) == want
+    path.write_text("+3 1\n-0 +2\n")
+    assert graphs.load_edge_list(path) == raw_graph([[2], [], [0]])
+
+
+@pytest.mark.parametrize("text", ["0 0\n", "5 0\n", "5 0"])
+def test_edgeless_edge_list_loads_without_warning(tmp_path, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = graphs.load_edge_list(path)
+    assert g.edge_count == 0 and g.n == int(text.split()[0])
+    path.write_text(text.rstrip("\n") + "\n \t\n")   # a body np.loadtxt finds empty
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(graphs.EdgeListParseError, match="^line 2: blank line$"):
+            graphs.load_edge_list(path)
+
+
+def test_valid_edge_list_is_not_read_line_by_line(tmp_path, monkeypatch):
+    def scan(*args):
+        raise AssertionError("line scan of a valid file")
+    monkeypatch.setattr(graphs, "_raise_first_bad_line", scan)
+    path = tmp_path / "g.txt"
+    for g in (graphs.gen_erdos_renyi(60, 0.2, 3), graphs.gen_complete(1)):
+        graphs.save_edge_list(g, path)
+        assert graphs.load_edge_list(path) == g
+    path.write_text("4 1\r\n 0\t 3  \r\n")
+    assert graphs.load_edge_list(path).edge_count == 1
+
+
+def test_save_edge_list_chunks_match_one_line_per_edge(tmp_path, monkeypatch):
+    g = graphs.gen_erdos_renyi(40, 0.3, 1)
+    path = tmp_path / "g.txt"
+    src, dst = graphs.edge_endpoints(g)
+    want = f"{g.n} {g.edge_count}\n" + "".join(
+        f"{i} {j}\n" for i, j in zip(src.tolist(), dst.tolist()) if i < j)
+    for chunk in (1, 7, 1 << 16):
+        monkeypatch.setattr(graphs, "_WRITE_CHUNK", chunk)
+        graphs.save_edge_list(g, path)
+        assert path.read_text() == want
+
+
+def oracle_load(path):
+    """The per-line edge-list loader that load_edge_list replaced, kept as
+    the oracle for its graphs and its errors."""
+    with open(path) as fh:
+        header = fh.readline()
+        if not header:
+            raise graphs.EdgeListParseError(1, "missing header line")
+        header = header.rstrip("\n")
+        head = header.split()
+        if len(head) != 2:
+            raise graphs.EdgeListParseError(1, f"expected 'n edge_count', got {header!r}")
+        try:
+            n, count = int(head[0]), int(head[1])
+        except ValueError:
+            raise graphs.EdgeListParseError(
+                1, f"non-integer header field in {header!r}") from None
+        if n < 0 or count < 0:
+            raise graphs.EdgeListParseError(1, "negative header field")
+        seen = set()
+        edges = []
+        lineno = 1
+        for lineno, raw in enumerate(fh, start=2):
+            raw = raw.rstrip("\n")
+            if not raw.strip():
+                raise graphs.EdgeListParseError(lineno, "blank line")
+            parts = raw.split()
+            if len(parts) != 2:
+                raise graphs.EdgeListParseError(lineno, f"expected 'i j', got {raw!r}")
+            try:
+                i, j = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise graphs.EdgeListParseError(
+                    lineno, f"non-integer vertex in {raw!r}") from None
+            if not (0 <= i < n and 0 <= j < n):
+                raise graphs.EdgeListParseError(lineno, f"vertex out of range in {raw!r}")
+            if i == j:
+                raise graphs.EdgeListParseError(lineno, f"self-loop {i}")
+            if i > j:
+                raise graphs.EdgeListParseError(lineno, f"vertices out of order in {raw!r}")
+            if (i, j) in seen:
+                # edge k sits on line k + 2, after the header
+                first = edges.index((i, j)) + 2
+                raise graphs.EdgeListParseError(
+                    lineno, f"duplicate edge {i} {j} (first at line {first})")
+            seen.add((i, j))
+            if len(edges) >= count:
+                raise graphs.EdgeListParseError(
+                    lineno, f"more than {count} edges declared in header")
+            edges.append((i, j))
+    if len(edges) != count:
+        raise graphs.EdgeListParseError(
+            lineno, f"header declares {count} edges, found {len(edges)}")
+    rows = [[] for _ in range(n)]
+    for i, j in edges:
+        rows[i].append(j)
+        rows[j].append(i)
+    return raw_graph([sorted(r) for r in rows], n=n)
+
+
+MUTATIONS = ["blank", "whitespace", "one_field", "three_fields", "non_integer",
+             "hash", "negative", "out_of_range", "self_loop", "swapped",
+             "duplicate", "header_plus_one", "header_minus_one", "crlf",
+             "no_final_newline", "tabs_and_spaces"]
+
+
+def mutate(lines, n, kind, data):
+    """Apply one mutation to the lines (without line ends) of a saved edge
+    list; returns the file's text."""
+    body = len(lines) - 1
+    at = data.draw(st.integers(1, max(body, 1)))          # a body line
+    where = data.draw(st.integers(1, body + 1))            # an insertion point
+    edge = lines[at].split() if body else ["0", "1"]
+    put = lines.__setitem__ if body else (lambda k, line: lines.append(line))
+    field = data.draw(st.integers(0, 1))
+    if kind == "blank":
+        lines.insert(where, "")
+    elif kind == "whitespace":
+        lines.insert(where, data.draw(st.sampled_from([" ", "\t", " \t  "])))
+    elif kind == "one_field":
+        put(at, edge[field])
+    elif kind == "three_fields":
+        put(at, " ".join(edge + [str(data.draw(st.integers(0, n + 1)))]))
+    elif kind in ("non_integer", "hash", "negative", "out_of_range"):
+        edge[field] = {
+            "non_integer": data.draw(st.sampled_from(["x", "1.0", "0x1", "1e3", "--1", "1-"])),
+            "hash": data.draw(st.sampled_from(["#", "#0", "0#"])),
+            "negative": str(-data.draw(st.integers(1, 3))),
+            "out_of_range": str(n + data.draw(st.integers(0, 3))),
+        }[kind]
+        put(at, " ".join(edge))
+    elif kind == "self_loop":
+        put(at, f"{edge[field]} {edge[field]}")
+    elif kind == "swapped":
+        put(at, f"{edge[1]} {edge[0]}")
+    elif kind == "duplicate":
+        if body:
+            lines.insert(data.draw(st.integers(at + 1, body + 1)), lines[at])
+    elif kind in ("header_plus_one", "header_minus_one"):
+        count = int(lines[0].split()[1]) + (1 if kind == "header_plus_one" else -1)
+        lines[0] = f"{n} {count}"
+    elif kind == "tabs_and_spaces":
+        ws = st.text(" \t", min_size=1, max_size=3)
+        k = data.draw(st.integers(0, body))
+        a, b = lines[k].split()
+        lines[k] = (data.draw(st.sampled_from(["", " ", "\t "])) + a + data.draw(ws) + b
+                    + data.draw(st.sampled_from(["", " ", " \t"])))
+    text = "\n".join(lines) + "\n"
+    if kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif kind == "no_final_newline":
+        text = text[:-1]
+    return text
+
+
+def load_outcome(load, path):
+    """The graph load(path) returns, or the line and message it raises."""
+    try:
+        g = load(path)
+    except graphs.EdgeListParseError as exc:
+        return exc.line_number, str(exc)
+    return g.n, g.indptr.tolist(), g.indices.tolist(), g.degrees.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graph(), st.sampled_from(MUTATIONS), st.data())
+def test_loader_matches_per_line_oracle(g, kind, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        graphs.save_edge_list(g, path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        text = mutate(lines, g.n, kind, data)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        want = load_outcome(oracle_load, path)
+        assert load_outcome(graphs.load_edge_list, path) == want
+    if kind in ("crlf", "no_final_newline", "tabs_and_spaces"):
+        assert want[:2] == (g.n, g.indptr.tolist())
+
 
 
 def raw_graph(rows, n=None, degrees=None, indptr=None):
