@@ -63,8 +63,6 @@ from .capacity import (
     RateEstimate,
     StepPrediction,
     TheoryParams,
-    TrialResult,
-    basin_trial,
     capacity_search,
     default_k_max,
     f_rho,
@@ -83,8 +81,8 @@ __all__ = [
     "ExperimentConfig", "FRhoResult", "FieldEngine", "Graph",
     "InfeasibleWeightsError", "MgfReport", "PatternSet", "RateEstimate",
     "SpectralSolverError", "SpectralSummary", "StepPrediction", "TailReport",
-    "TheoryParams", "TrialResult", "WeightSequence", "adjacency_matrix",
-    "basin_trial", "capacity_search", "check_h1", "check_h2",
+    "TheoryParams", "WeightSequence", "adjacency_matrix",
+    "capacity_search", "check_h1", "check_h2",
     "corrupt", "default_k_max", "degree_stats", "degree_tail_experiment",
     "edge_endpoints", "energy_S", "energy_T", "entropy", "f_rho",
     "gen_chung_lu", "gen_complete", "gen_erdos_renyi", "gen_two_cliques",

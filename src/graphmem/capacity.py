@@ -23,8 +23,8 @@ import numpy as np
 
 from .bounds import entropy, wilson_interval
 from .graphs import Graph, DegreeStats
-from .hopfield import (FieldEngine, PatternSet, corrupt, hamming, run_block,
-                       run_dynamics, sample_patterns)
+from .hopfield import (FieldEngine, PatternSet, corrupt, run_block, run_dynamics,
+                       sample_patterns)
 from .spectral import SpectralSummary, spectrum_summary
 
 _DIVERGE_CAP = 10_000
@@ -56,16 +56,6 @@ class TheoryParams:
 
 
 _DEFAULTS = TheoryParams()
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    recovered: bool
-    steps: int
-    terminal: str
-    target_mu: int
-    rho: float
-    final_distance: int    # Hamming miss, recorded for diagnostics only
 
 
 @dataclass(frozen=True)
@@ -254,30 +244,14 @@ def _trial_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(master_seed), int(index)))
 
 
-def basin_trial(g: Graph, p: PatternSet, mu: int, rho: float, k_max: int,
-                seed) -> TrialResult:
-    """Corrupt pattern mu by exactly floor(rho*n) uniform flips, run the
-    parallel dynamics, and report exact-recovery success."""
-    if not 0 <= mu < p.m_patterns:
-        raise ValueError("mu out of range")
-    if not 0.0 <= rho < 0.5:
-        raise ValueError("rho must lie in [0, 1/2)")
-    target = p.pattern(mu)
-    start = corrupt(target, rho, seed)
-    out = run_dynamics(g, p, start, mode="parallel", k_max=k_max)
-    recovered = out.terminal == "fixed_point" and np.array_equal(out.final, target)
-    return TrialResult(recovered=recovered, steps=out.steps, terminal=out.terminal,
-                       target_mu=mu, rho=rho, final_distance=hamming(out.final, target))
-
-
 def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
                   trials: int, seed: int,
                   engine: FieldEngine | None = None) -> RateEstimate:
-    """Success fraction of basin_trial over uniformly drawn (mu, corruption)
-    pairs, with a 95% Wilson interval.
+    """Exact-recovery fraction over uniformly drawn (mu, corruption) pairs,
+    with a 95% Wilson interval.
 
-    Trial t draws its pattern and corruption from its own generator, a pure
-    function of (seed, t), exactly as basin_trial would; all starts then
+    Trial t draws its pattern mu, then floor(rho*n) uniform flips of it,
+    from its own generator, a pure function of (seed, t); all starts then
     run together as one block of the parallel dynamics.
     """
     if trials < 1:

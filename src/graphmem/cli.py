@@ -168,9 +168,8 @@ def _cmd_spectrum(config: ExperimentConfig) -> int:
     s = spectral_mod.spectrum_summary(g, tol=config.params["tol"])
     d = graphs_mod.degree_stats(g)
     payload = {
-        "lambda1": s.lambda1, "lambda2": s.lambda2, "lambdaN": s.lambdaN,
-        "kappa": s.kappa, "gap": s.gap, "method": s.method,
-        "residual": s.residual,
+        "lambda1": s.lambda1, "kappa": s.kappa, "gap": s.gap,
+        "method": s.method, "residual": s.residual,
         "degrees": {"delta": d.delta, "m": d.m, "d_avg": d.d_avg,
                     "d_tilde": d.d_tilde, "edge_count": d.edge_count},
     }

@@ -226,7 +226,9 @@ def _edge_pairs(weights, rho, rng) -> tuple[np.ndarray, np.ndarray]:
     while rows.size:
         live = p > 0
         rows, j, p = rows[live], j[live], p[live]
-        with np.errstate(divide="ignore"):     # log(1 - p) = -inf at p = 1
+        # log(1 - p) = -inf at p = 1; at a subnormal p the skip overflows
+        # to +inf, which the clamp to n turns into no edge, as at p = 1
+        with np.errstate(divide="ignore", over="ignore"):
             skip = np.floor(np.log1p(-rng.random(rows.size)) / np.log1p(-p))
         j = np.minimum(j + skip, n).astype(np.int64)
         live = j < n

@@ -3,11 +3,12 @@
 kappa = max(|lambda_2|, |lambda_N|) is the largest eigenvalue magnitude
 away from the top; lambda_1 - kappa is the spectral gap.  K_n's spectrum
 is known in closed form (n - 1 once, -1 with multiplicity n - 1).  Every
-other graph with an edge gets ARPACK's implicitly restarted Lanczos
-(scipy.sparse.linalg.eigsh; Lehoucq, Sorensen and Yang, ARPACK Users'
-Guide, 1998): two eigenpairs at the top of the spectrum and one at the
-bottom, each from the same fixed start vector, checked by their residuals
-||A v - lambda v||.
+other graph with an edge gets one call of ARPACK's implicitly restarted
+Lanczos (scipy.sparse.linalg.eigsh; Lehoucq, Sorensen and Yang, ARPACK
+Users' Guide, 1998) for the two eigenpairs of largest magnitude, from a
+fixed start vector, checked by their residuals ||A v - lambda v||.  For a
+non-negative symmetric A, Perron-Frobenius gives lambda_1 = rho(A) >=
+|lambda_N|, so those two magnitudes are lambda_1 and kappa.
 """
 from __future__ import annotations
 
@@ -31,11 +32,10 @@ class SpectralSolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Extreme adjacency eigenvalues: lambda1 >= lambda2 >= ... >= lambdaN."""
+    """The top adjacency eigenvalue lambda1 and the largest magnitude kappa
+    of the others, with gap = lambda1 - kappa."""
 
     lambda1: float
-    lambda2: float
-    lambdaN: float
     kappa: float
     gap: float
     method: str          # "closed_form" | "iterative"
@@ -77,7 +77,7 @@ class BoundReport:
 
 
 def spectrum_summary(g: Graph, tol: float = 1e-8) -> SpectralSummary:
-    """Compute lambda1, lambda2, lambdaN, kappa and the gap of g's adjacency.
+    """Compute lambda1, kappa and the gap of g's adjacency.
 
     Edgeless graphs and K_n have exact spectra ("closed_form").  Every other
     graph has n >= 3, as ARPACK needs, and goes to Lanczos ("iterative"),
@@ -85,35 +85,34 @@ def spectrum_summary(g: Graph, tol: float = 1e-8) -> SpectralSummary:
     residual exceeds tol * max(1, |lambda1|).
     """
     if g.edge_count == 0:
-        return SpectralSummary(0.0, 0.0, 0.0, 0.0, 0.0, "closed_form", 0.0)
+        return SpectralSummary(0.0, 0.0, 0.0, "closed_form", 0.0)
     if g.is_complete:
         top = float(g.n - 1)
-        return SpectralSummary(top, -1.0, -1.0, 1.0, top - 1.0, "closed_form", 0.0)
-    lam1, lam2, lamn, residual = _extreme_eigs_iterative(g, tol)
-    kappa = max(abs(lam2), abs(lamn))
-    return SpectralSummary(
-        lambda1=lam1, lambda2=lam2, lambdaN=lamn, kappa=kappa,
-        gap=lam1 - kappa, method="iterative", residual=residual,
-    )
+        return SpectralSummary(top, 1.0, top - 1.0, "closed_form", 0.0)
+    lam1, kappa, residual = _lambda1_kappa_iterative(g, tol)
+    return SpectralSummary(lambda1=lam1, kappa=kappa, gap=lam1 - kappa,
+                           method="iterative", residual=residual)
 
 
-def _extreme_eigs_iterative(g: Graph, tol: float) -> tuple[float, float, float, float]:
-    """lambda1 and lambda2 from one Lanczos call at the top of the spectrum,
-    lambdaN from one at the bottom.  The residual is the largest
-    ||A v - lambda v|| over the three returned pairs."""
+def _lambda1_kappa_iterative(g: Graph, tol: float) -> tuple[float, float, float]:
+    """lambda1 and kappa as the larger and smaller magnitude of the two
+    eigenvalues of largest magnitude, from one Lanczos call.  Magnitudes,
+    not signs, so a bipartite graph (+-lambda1) or a repeated top gives
+    kappa = lambda1 whichever pair ARPACK returns.  The residual is the
+    largest ||A v - lambda v|| over the two returned pairs."""
     a = adjacency_matrix(g)
-    top, top_vecs = _lanczos(a, 2, "LA")
-    low, low_vecs = _lanczos(a, 1, "SA")
-    residual = max(float(np.linalg.norm(a @ v - v * w, axis=0).max())
-                   for w, v in ((top, top_vecs), (low, low_vecs)))
-    if residual > tol * max(1.0, abs(top[1])):
+    w, v = _lanczos(a, 2, "LM")
+    residual = float(np.linalg.norm(a @ v - v * w, axis=0).max())
+    mags = np.abs(w)
+    lam1 = float(mags.max())
+    if residual > tol * max(1.0, lam1):
         raise SpectralSolverError("Lanczos residual above tolerance", residual)
-    return float(top[1]), float(top[0]), float(low[0]), residual
+    return lam1, float(mags.min()), residual
 
 
 def _lanczos(a, k: int, which: str) -> tuple[np.ndarray, np.ndarray]:
-    """The k eigenpairs at one end ("LA" top, "SA" bottom) of the symmetric
-    sparse matrix a, eigenvalues ascending.
+    """The k eigenpairs of the symmetric sparse matrix a selected by which
+    ("LA" top, "LM" largest magnitude), eigenvalues ascending.
 
     ARPACK needs n > k.  It runs from a fixed start vector, so the result
     does not depend on earlier calls.

@@ -23,9 +23,9 @@ def test_criterion_01_complete_graph_spectrum():
     g = gm.gen_complete(100)
     s = gm.spectrum_summary(g)
     assert s.method == "closed_form"
-    lam1, lam2, lamn, _ = spectral._extreme_eigs_iterative(g, 1e-8)
+    lam1, kappa1, _ = spectral._lambda1_kappa_iterative(g, 1e-8)
     for route, l1, kappa in (("closed_form", s.lambda1, s.kappa),
-                             ("iterative", lam1, max(abs(lam2), abs(lamn)))):
+                             ("iterative", lam1, kappa1)):
         assert abs(l1 - 99.0) <= 1e-6, (route, l1)
         assert abs(kappa - 1.0) <= 1e-6, (route, kappa)
     report(1, "K_100 spectrum exact to 1e-6 in closed form and by Lanczos")
@@ -182,9 +182,9 @@ def test_criterion_09_step_predictor_loglog_growth():
     # closed-form complete-graph spectra: growth from N=10^3 to N=10^6 is
     # at most 2x, and no sequence ever fails to decrease
     def k_summary(n):
-        return gm.SpectralSummary(lambda1=float(n - 1), lambda2=-1.0,
-                                  lambdaN=-1.0, kappa=1.0, gap=float(n - 2),
-                                  method="closed_form", residual=0.0)
+        return gm.SpectralSummary(lambda1=float(n - 1), kappa=1.0,
+                                  gap=float(n - 2), method="closed_form",
+                                  residual=0.0)
 
     small = gm.predict_steps(k_summary(10 ** 3), 10, 10 ** 3, 1.0 / math.e)
     big = gm.predict_steps(k_summary(10 ** 6), 10, 10 ** 6, 1.0 / math.e)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,10 +7,8 @@ import pytest
 from graphmem import bounds, capacity, graphs, hopfield, spectral
 
 
-def summary(lambda1, kappa, lambdaN=None):
-    lam_n = -kappa if lambdaN is None else lambdaN
-    return spectral.SpectralSummary(lambda1=lambda1, lambda2=kappa,
-                                    lambdaN=lam_n, kappa=kappa,
+def summary(lambda1, kappa):
+    return spectral.SpectralSummary(lambda1=lambda1, kappa=kappa,
                                     gap=lambda1 - kappa, method="dense",
                                     residual=0.0)
 
@@ -172,22 +171,49 @@ def test_default_k_max_complete_1024():
     s = summary(1023.0, 1.0)
     assert capacity.default_k_max(s, 1024) == 20
     # edgeless: only the log log term remains
-    s0 = spectral.SpectralSummary(0.0, 0.0, 0.0, 0.0, 0.0, "dense", 0.0)
+    s0 = spectral.SpectralSummary(0.0, 0.0, 0.0, "dense", 0.0)
     assert capacity.default_k_max(summary(5.0, 0.0), 100) >= 1
+
+
+@dataclass(frozen=True)
+class TrialResult:
+    recovered: bool
+    steps: int
+    terminal: str
+    target_mu: int
+    rho: float
+    final_distance: int    # Hamming miss, recorded for diagnostics only
+
+
+def basin_trial(g, p, mu, rho, k_max, seed):
+    """One corrupted-retrieval trial, run alone: the per-trial oracle for
+    recovery_rate's block run.  Corrupt pattern mu by exactly floor(rho*n)
+    uniform flips, run the parallel dynamics, and report exact recovery."""
+    if not 0 <= mu < p.m_patterns:
+        raise ValueError("mu out of range")
+    if not 0.0 <= rho < 0.5:
+        raise ValueError("rho must lie in [0, 1/2)")
+    target = p.pattern(mu)
+    start = hopfield.corrupt(target, rho, seed)
+    out = hopfield.run_dynamics(g, p, start, mode="parallel", k_max=k_max)
+    recovered = out.terminal == "fixed_point" and np.array_equal(out.final, target)
+    return TrialResult(recovered=recovered, steps=out.steps, terminal=out.terminal,
+                       target_mu=mu, rho=rho,
+                       final_distance=hopfield.hamming(out.final, target))
 
 
 def test_basin_trial_recovers_single_pattern():
     g = graphs.gen_complete(30)
     p = hopfield.sample_patterns(1, 30, 2)
-    res = capacity.basin_trial(g, p, 0, 0.2, 10, 5)
+    res = basin_trial(g, p, 0, 0.2, 10, 5)
     assert res.recovered
     assert res.final_distance == 0
     assert res.terminal == "fixed_point"
     assert res.steps <= 4
     with pytest.raises(ValueError):
-        capacity.basin_trial(g, p, 1, 0.2, 10, 5)
+        basin_trial(g, p, 1, 0.2, 10, 5)
     with pytest.raises(ValueError):
-        capacity.basin_trial(g, p, 0, 0.5, 10, 5)
+        basin_trial(g, p, 0, 0.5, 10, 5)
 
 
 def test_recovery_rate_deterministic_and_bounded():
@@ -218,7 +244,7 @@ def test_recovery_rate_matches_per_trial_loop():
         for t in range(30):
             rng = np.random.default_rng(capacity._trial_seed(11, t))
             mu = int(rng.integers(p.m_patterns))
-            runs.append(capacity.basin_trial(g, p, mu, rho, k_max, rng))
+            runs.append(basin_trial(g, p, mu, rho, k_max, rng))
         wins = [r for r in runs if r.recovered]
         assert est.successes == len(wins)
         if wins:

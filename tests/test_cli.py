@@ -52,6 +52,7 @@ def test_spectrum_report(tmp_path):
     assert doc["method"] == "iterative"
     assert doc["lambda1"] >= doc["kappa"] >= 0.0
     assert doc["gap"] == pytest.approx(doc["lambda1"] - doc["kappa"])
+    assert "lambda2" not in doc and "lambdaN" not in doc
     assert doc["degrees"]["edge_count"] > 0
     assert "elapsed_seconds" in doc
 

@@ -43,6 +43,16 @@ def test_gnp_extreme_p():
     assert g1 == graphs.gen_complete(20)
 
 
+def test_subnormal_probabilities_draw_no_edge_without_warning():
+    # log1p(-p) is subnormal too, so the geometric skip overflows to +inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert graphs.gen_erdos_renyi(10, 5e-324, 0).edge_count == 0
+        w = graphs.make_weights([1.0, 1.0, 1.0, 1e-160, 1e-160])
+        g = graphs.gen_chung_lu(w, 0)
+    assert g.degrees[3] == 0 and g.degrees[4] == 0
+
+
 def test_gnp_rejects_bad_args():
     with pytest.raises(ValueError):
         graphs.gen_erdos_renyi(10, -0.1, 0)
