@@ -5,7 +5,11 @@ vertex i is
 
     h_i(sigma) = sum_j a_ij sigma_j sum_mu xi_i^mu xi_j^mu,
 
-an exact integer.  The parallel map T flips every spin to sgn(h_i)
+an exact integer of magnitude at most M * max degree, which FieldEngine's
+guard keeps below 2^31, so fields are returned as int32.  The couplings are
+built by popcount over bit-packed patterns, and a block of states is
+multiplied on every available CPU by splitting the couplings into row
+blocks (see FieldEngine).  The parallel map T flips every spin to sgn(h_i)
 simultaneously (sgn(0) = +1); the sequential sweep S applies the same rule
 vertex by vertex in index order.  Energies use the 1/n normalization:
 H_S = -(1/n) sum_{i,j} sigma_i sigma_j a_ij sum_mu xi_i xi_j over ordered
@@ -14,12 +18,15 @@ pairs, H_T = -(1/n) sum_i |h_i|.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
-from .graphs import Graph, edge_endpoints
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,47 @@ def sample_patterns(m: int, n: int, seed) -> PatternSet:
     return PatternSet(bits)
 
 
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _start_pool() -> None:
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=_THREADS)
+
+
+# One row block of J per available CPU.  The executor starts its threads on
+# the first submit, not at import; scipy's CSR kernel releases the GIL, so
+# the blocks run in parallel.  A forked child inherits the executor but not
+# its threads, and would wait forever on it, so the child gets a new one.
+_THREADS = _cpu_count()
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_pool)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(n, ceil(M/64)) uint64 words; bit mu of vertex i is set when
+    xi_i^mu = -1, and the padding bits are 0 for every vertex."""
+    m, n = bits.shape
+    packed = np.zeros((n, 8 * -(-m // 64)), dtype=np.uint8)
+    packed[:, :-(-m // 8)] = np.packbits(bits.T < 0, axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+def _row_cuts(indptr: np.ndarray, parts: int) -> list:
+    """Row boundaries 0 = r_0 < ... < r_k = n that split the arcs into at
+    most max(parts, 1) runs of about equal size.  A run exceeds its share by
+    less than one row, and every run holds an arc unless there are none."""
+    nnz, parts = indptr[-1], max(parts, 1)
+    cuts = np.searchsorted(indptr, np.arange(1, parts) * (nnz / parts))
+    cuts = cuts[indptr[cuts] < nnz]
+    return np.unique(np.concatenate(([0], cuts, [indptr.size - 1]))).tolist()
+
+
 class FieldEngine:
     """Exact local fields for a fixed (graph, patterns) pair.
 
@@ -70,11 +118,15 @@ class FieldEngine:
       array.  They are exact: every partial sum is an integer of magnitude
       at most n M, which the 2^31 guard keeps far inside float64's 2^53.
     - "csr" on every other graph: int32 per-arc weights aligned with the
-      graph's CSR arrays.  The int32 product holds every partial sum
-      exactly under the same guard; only its result is widened to int64.
+      graph's CSR arrays, built by popcount: with x_i vertex i's pattern
+      signs packed into 64-bit words, J_ij = M - 2 popcount(x_i XOR x_j).
+      The int32 product holds every partial sum exactly under the same
+      guard.  A block of states is multiplied as one row block of J per
+      available CPU, each a view of J's arrays, on a shared thread pool;
+      a single state takes one direct product.
 
     fields() accepts one state (n,) or a block of states (n, B) and
-    returns exact int64 fields of the same shape; sweep() runs the
+    returns exact int32 fields of the same shape; sweep() runs the
     sequential map once over a single state.
     """
 
@@ -93,25 +145,57 @@ class FieldEngine:
             self.storage = "csr"
             self._j = sp.csr_array(
                 (self._edge_weights(), g.indices, g.indptr), shape=(g.n, g.n))
+            self._blocks = self._row_blocks()
 
     def _edge_weights(self) -> np.ndarray:
-        """Per-arc pattern products, aligned with g.indices."""
-        bits = self.p.bits
-        src, dst = edge_endpoints(self.g)
-        out = np.empty(dst.size, dtype=np.int32)
-        chunk = max(1, int(4e6 // max(bits.shape[0], 1)))
-        for lo in range(0, dst.size, chunk):
-            hi = min(lo + chunk, dst.size)
-            prod = bits[:, src[lo:hi]] * bits[:, dst[lo:hi]]
-            out[lo:hi] = prod.sum(axis=0, dtype=np.int32)
+        """Per-arc pattern products M - 2 popcount(x_i XOR x_j), aligned with
+        g.indices.  Rows go in runs of about 4 MB of gathered words each."""
+        indptr, indices = self.g.indptr, self.g.indices
+        x = _pack(self.p.bits)
+        out = np.empty(indices.size, dtype=np.int32)
+        gathered = indices.size * x.shape[1] * x.itemsize     # bytes per side
+        rows = _row_cuts(indptr, -(-gathered // 4_000_000))
+        for lo, hi in zip(rows[:-1], rows[1:]):
+            a, b = indptr[lo], indptr[hi]
+            words = np.repeat(x[lo:hi], np.diff(indptr[lo:hi + 1]), axis=0)
+            words ^= np.take(x, indices[a:b], axis=0)
+            diff = np.bitwise_count(words).sum(axis=1, dtype=np.int32)
+            out[a:b] = self.p.m_patterns - 2 * diff
         return out
 
+    def _row_blocks(self) -> list:
+        """J split into up to _THREADS row blocks of about equal arc counts:
+        (first row, last row + 1, rebased indptr, indices view, data view)."""
+        indptr = self._j.indptr
+        rows = _row_cuts(indptr, _THREADS)
+        return [(lo, hi, indptr[lo:hi + 1] - indptr[lo],
+                 self._j.indices[indptr[lo]:indptr[hi]],
+                 self._j.data[indptr[lo]:indptr[hi]])
+                for lo, hi in zip(rows[:-1], rows[1:])]
+
+    def _block_product(self, block, x: np.ndarray, out: np.ndarray) -> None:
+        # out[lo:hi] += J[lo:hi] @ x, as scipy's own 2-D CSR product calls it
+        lo, hi, indptr, indices, data = block
+        _sparsetools.csr_matvecs(hi - lo, self.g.n, x.shape[1], indptr, indices,
+                                 data, x.reshape(-1), out[lo:hi].reshape(-1))
+
     def fields(self, s: np.ndarray) -> np.ndarray:
-        """h(s) for a state (n,) or each column of a block (n, B), exact int64."""
+        """h(s) for a state (n,) or each column of a block (n, B), exact int32."""
         if self.storage == "complete":
             x = s.astype(np.float64)
-            return (self._xi.T @ (self._xi @ x) - self.p.m_patterns * x).astype(np.int64)
-        return (self._j @ s.astype(np.int32)).astype(np.int64)
+            return (self._xi.T @ (self._xi @ x) - self.p.m_patterns * x).astype(np.int32)
+        if s.ndim == 1:
+            return self._j @ s.astype(np.int32)
+        x = np.ascontiguousarray(s, dtype=np.int32)
+        out = np.zeros(x.shape, dtype=np.int32)
+        first, *rest = self._blocks
+        futures = [_POOL.submit(self._block_product, b, x, out) for b in rest]
+        try:
+            self._block_product(first, x, out)
+        finally:
+            for f in futures:
+                f.result()
+        return out
 
     def sweep(self, s: np.ndarray) -> np.ndarray:
         """One sequential sweep of the (n,) state s: vertices update in
@@ -136,7 +220,7 @@ class FieldEngine:
 
 def _sign(h: np.ndarray) -> np.ndarray:
     # sgn(0) = +1 by convention
-    return np.where(h >= 0, np.int8(1), np.int8(-1))
+    return (h >= 0).view(np.int8) * 2 - 1
 
 
 def parallel_step(engine: FieldEngine, s) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphmem import graphs, hopfield
 
@@ -61,6 +61,25 @@ def test_pattern_bits_are_frozen():
         p.bits[0, 0] = 1
 
 
+# pattern counts on both sides of the byte and 64-bit word boundaries of
+# the packed patterns
+PACK_M = (1, 7, 8, 9, 63, 64, 65, 128, 129)
+
+
+def oracle_edge_weights(g, p):
+    """The per-arc pattern product that the popcount build replaced, kept
+    as the oracle for its weights."""
+    bits = p.bits
+    src, dst = graphs.edge_endpoints(g)
+    out = np.empty(dst.size, dtype=np.int32)
+    chunk = max(1, int(4e6 // max(bits.shape[0], 1)))
+    for lo in range(0, dst.size, chunk):
+        hi = min(lo + chunk, dst.size)
+        prod = bits[:, src[lo:hi]] * bits[:, dst[lo:hi]]
+        out[lo:hi] = prod.sum(axis=0, dtype=np.int32)
+    return out
+
+
 # density 1 gives K_n and the closed-form storage; every other graph,
 # near-complete ones included, takes CSR
 @pytest.mark.parametrize("storage,density", [("complete", (1.0, 1.0)),
@@ -68,29 +87,78 @@ def test_pattern_bits_are_frozen():
                                              ("csr", (0.7, 0.95))],
                          ids=["complete", "csr", "near_complete"])
 def test_fields_match_brute_force(storage, density):
+    # every pack boundary of M, and n down to 1, so that some graphs have
+    # fewer rows than the engine has threads
     rng = np.random.default_rng(5)
-    checked = 0
-    while checked < 20:
-        n = int(rng.integers(3, 30))
-        g = graphs.gen_erdos_renyi(n, float(rng.uniform(*density)),
-                                   int(rng.integers(2 ** 31)))
-        if storage == "csr" and g.indices.size == n * (n - 1):
-            continue    # a sparse draw that came out complete
-        p = hopfield.sample_patterns(int(rng.integers(1, 6)), n,
-                                     int(rng.integers(2 ** 31)))
-        eng = hopfield.FieldEngine(g, p)
-        assert eng.storage == storage
-        s = random_state(rng, n)
-        want = brute_fields(g, p, s)
-        got = eng.fields(s)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
-        swept = hopfield.sequential_sweep(eng, s)
-        assert swept.dtype == np.int8
-        assert np.array_equal(swept, brute_sweep(g, p, s))
-        block = np.stack([random_state(rng, n) for _ in range(4)], axis=1)
-        assert np.array_equal(eng.fields(block), brute_weights(g, p) @ block)
-        checked += 1
+    for m in PACK_M:
+        for n in (1, 2, 3, int(rng.integers(4, 30))):
+            if storage == "csr" and n == 1:
+                continue    # the one graph on one vertex is K_1
+            while True:
+                g = graphs.gen_erdos_renyi(n, float(rng.uniform(*density)),
+                                           int(rng.integers(2 ** 31)))
+                if storage == "complete" or g.indices.size < n * (n - 1):
+                    break   # else a sparse draw came out complete: redraw
+            p = hopfield.sample_patterns(m, n, int(rng.integers(2 ** 31)))
+            eng = hopfield.FieldEngine(g, p)
+            assert eng.storage == storage
+            s = random_state(rng, n)
+            got = eng.fields(s)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, brute_fields(g, p, s))
+            swept = hopfield.sequential_sweep(eng, s)
+            assert swept.dtype == np.int8
+            assert np.array_equal(swept, brute_sweep(g, p, s))
+            block = np.stack([random_state(rng, n) for _ in range(4)], axis=1)
+            for cols in (block[:, :1], block):
+                got = eng.fields(cols)
+                assert got.dtype == np.int32
+                assert np.array_equal(got, brute_weights(g, p) @ cols)
+
+
+# the two examples hold about 575k arcs of one word and 187k arcs of three
+# words: both pass 4 MB of gathered words, so the build takes two row runs
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), density=st.floats(0.0, 1.0),
+       m=st.one_of(st.sampled_from(PACK_M), st.integers(1, 200)),
+       seed=st.integers(0, 2 ** 31))
+@example(n=1200, density=0.4, m=1, seed=3)
+@example(n=500, density=0.75, m=129, seed=3)
+def test_popcount_weights_match_per_arc_product(n, density, m, seed):
+    g = graphs.gen_erdos_renyi(n, density, seed)
+    p = hopfield.sample_patterns(m, n, seed + 1)
+    got = hopfield.FieldEngine(g, p)._edge_weights()
+    assert got.dtype == np.int32
+    assert np.array_equal(got, oracle_edge_weights(g, p))
+
+
+def test_thread_count_does_not_change_results(monkeypatch):
+    # one, two and three row blocks give bit-identical fields and block
+    # runs, down to graphs with fewer rows than threads
+    rng = np.random.default_rng(11)
+    for n, density in ((2, 0.0), (3, 0.5), (40, 0.3), (300, 0.05)):
+        g = graphs.gen_erdos_renyi(n, density, int(rng.integers(2 ** 31)))
+        assert not g.is_complete
+        p = hopfield.sample_patterns(9, n, int(rng.integers(2 ** 31)))
+        starts = np.stack([hopfield.corrupt(p.pattern(mu % 9), 0.2, mu)
+                           for mu in range(16)], axis=1)
+        runs = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(hopfield, "_THREADS", threads)
+            eng = hopfield.FieldEngine(g, p)
+            if n >= 40:
+                assert len(eng._blocks) == threads
+            else:   # blocks split the arcs, so an edgeless graph is one block
+                assert 1 <= len(eng._blocks) <= min(threads, n)
+            runs.append((eng.fields(starts), hopfield.run_block(eng, starts, 30)))
+        h, out = runs[0]
+        assert np.array_equal(h, brute_weights(g, p) @ starts)
+        for h_t, out_t in runs[1:]:
+            assert h_t.dtype == h.dtype and np.array_equal(h_t, h)
+            assert np.array_equal(out_t.terminal, out.terminal)
+            assert np.array_equal(out_t.steps, out.steps)
+            assert np.array_equal(out_t.final, out.final)
+            assert np.array_equal(out_t.energy, out.energy, equal_nan=True)
 
 
 def test_field_budget_guard_raises_before_allocating():
@@ -116,6 +184,29 @@ def test_field_budget_guard_raises_before_allocating():
                          text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
     assert out.stdout.splitlines() == [
         "pattern count times max degree overflows the field budget"] * 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_block_fields():
+    # the child inherits the thread pool without its threads; it must get a
+    # new pool rather than wait forever on a block's second row block
+    code = ("import os, signal\n"
+            "import numpy as np\n"
+            "from graphmem import graphs, hopfield\n"
+            "hopfield._THREADS = 2\n"
+            "g = graphs.gen_erdos_renyi(200, 0.1, 0)\n"
+            "p = hopfield.sample_patterns(3, 200, 1)\n"
+            "eng = hopfield.FieldEngine(g, p)\n"
+            "s = np.stack([p.pattern(mu) for mu in range(3)], axis=1)\n"
+            "h = eng.fields(s)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(30)\n"
+            "    os._exit(0 if np.array_equal(eng.fields(s), h) else 1)\n"
+            "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.split() == ["0"]
 
 
 def test_engine_rejects_mismatched_sizes():
