@@ -21,7 +21,7 @@ from .spectral import SpectralSummary
 _EXHAUSTIVE_LIMIT = 16
 # batch means behind the Monte Carlo interval of mgf_check
 _MGF_BATCHES = 100
-# matrix entries per quadratic-form chunk (2 MB of float64), and signs per
+# matrix entries per quadratic-form chunk (1 MB of float32), and signs per
 # random draw: numpy packs four int8 draws into a 32-bit word, so the draw
 # block size is part of the seed -> sample mapping
 _FORM_CHUNK = 250_000
@@ -106,11 +106,13 @@ class DegreeTailReport:
 
 
 def _form_values(g: Graph, samples: int, seed) -> np.ndarray:
-    """S(x) = (1/2) x^T A x, exact integers as floats, for every sign vector
-    x when n <= _EXHAUSTIVE_LIMIT, else for `samples` uniform draws seeded
-    by seed.  Rows are held as 0/1 bits and turned into signs
-    _FORM_CHUNK matrix entries at a time."""
-    a = adjacency_matrix(g).toarray()
+    """S(x) = (1/2) x^T A x, exact integers as float64, for every sign
+    vector x when n <= _EXHAUSTIVE_LIMIT, else for `samples` uniform draws
+    seeded by seed.  Rows are held as 0/1 bits and turned into signs
+    _FORM_CHUNK matrix entries at a time.  x A runs in float32, exact since
+    every partial sum of (x A)_j is an integer of magnitude at most the
+    max degree, below 2^24; each row of (x A) * x is summed in float64."""
+    a = adjacency_matrix(g).astype(np.float32).toarray()
     if g.n <= _EXHAUSTIVE_LIMIT:
         codes = np.arange(2 ** g.n, dtype=np.uint32)[:, np.newaxis]
         blocks = [(codes >> np.arange(g.n, dtype=np.uint32)) & 1]
@@ -123,9 +125,9 @@ def _form_values(g: Graph, samples: int, seed) -> np.ndarray:
     out = []
     for bits in blocks:
         for lo in range(0, bits.shape[0], step):
-            x = np.multiply(bits[lo:lo + step], 2.0)
+            x = np.multiply(bits[lo:lo + step], 2.0, dtype=np.float32)
             x -= 1.0
-            out.append(0.5 * np.einsum("bi,bi->b", x @ a, x))
+            out.append(0.5 * ((x @ a) * x).sum(axis=1, dtype=np.float64))
     return np.concatenate(out)
 
 

@@ -269,6 +269,8 @@ def _cmd_verify(config: ExperimentConfig) -> int:
     rng_seed = config.master_seed
     violations = 0
     detail: dict = {}
+    if check != "degrees" and "graph" not in pr:
+        raise ValueError(f"--check {check} needs --graph")
     if check == "energy":
         g = _load_graph(pr["graph"])
         rng = np.random.default_rng(rng_seed)

@@ -6,10 +6,13 @@ vertex i is
     h_i(sigma) = sum_j a_ij sigma_j sum_mu xi_i^mu xi_j^mu,
 
 an exact integer of magnitude at most M * max degree, which FieldEngine's
-guard keeps below 2^31, so fields are returned as int32.  The couplings are
-built by popcount over bit-packed patterns, and a block of states is
-multiplied on every available CPU by splitting the couplings into row
-blocks (see FieldEngine).  The parallel map T flips every spin to sgn(h_i)
+guard keeps below 2^31, so fields are returned as int32.  Inside the engine
+the product runs in the narrowest type that an exact bound allows for this
+graph and these patterns: int16 couplings when every row's absolute sum is
+below 2^15, and float32 patterns on K_n when M n is below 2^24.  The
+couplings are built by popcount over bit-packed patterns, and a block of
+states is multiplied on every available CPU by splitting the couplings into
+row blocks (see FieldEngine).  The parallel map T flips every spin to sgn(h_i)
 simultaneously (sgn(0) = +1); the sequential sweep S applies the same rule
 vertex by vertex in index order.  Energies use the 1/n normalization:
 H_S = -(1/n) sum_{i,j} sigma_i sigma_j a_ij sum_mu xi_i xi_j over ordered
@@ -113,21 +116,26 @@ class FieldEngine:
 
     The couplings J_ij = a_ij sum_mu xi_i^mu xi_j^mu are held as:
 
-    - "complete" on K_n, where J = Xi^T Xi - M I: only Xi is kept, as
-      float64, and h(s) = Xi^T (Xi s) - M s takes two GEMMs, with no n x n
-      array.  They are exact: every partial sum is an integer of magnitude
-      at most n M, which the 2^31 guard keeps far inside float64's 2^53.
-    - "csr" on every other graph: int32 per-arc weights aligned with the
-      graph's CSR arrays, built by popcount: with x_i vertex i's pattern
-      signs packed into 64-bit words, J_ij = M - 2 popcount(x_i XOR x_j).
-      The int32 product holds every partial sum exactly under the same
-      guard.  A block of states is multiplied as one row block of J per
-      available CPU, each a view of J's arrays, on a shared thread pool;
-      a single state takes one direct product.
+    - "complete" on K_n, where J = Xi^T Xi - M I: only Xi is kept and
+      h(s) = Xi^T (Xi s) - M s takes two GEMMs, with no n x n array.  Every
+      partial sum of Xi s is an integer of magnitude at most n, and every
+      partial sum of Xi^T (Xi s) one of magnitude at most M n, so Xi is
+      held as float32 when M n < 2^24 and as float64 otherwise (the 2^31
+      guard keeps M n far inside float64's 2^53).
+    - "csr" on every other graph: per-arc weights aligned with the graph's
+      CSR arrays, built by popcount: with x_i vertex i's pattern signs
+      packed into 64-bit words, J_ij = M - 2 popcount(x_i XOR x_j).  Every
+      partial sum the product accumulates for row i is bounded by
+      r_i = sum_j |J_ij|, so the weights and the product are int16 when
+      max_i r_i < 2^15 and int32 otherwise (r_i <= M deg_i < 2^31 under
+      the guard).  A block of states is multiplied as one row block of J
+      per available CPU, each a view of J's arrays, on a shared thread
+      pool; a single state takes one direct product.
 
     fields() accepts one state (n,) or a block of states (n, B) and
-    returns exact int32 fields of the same shape; sweep() runs the
-    sequential map once over a single state.
+    returns exact fields of the same shape, widened to int32 whatever the
+    type of the product; sweep() runs the sequential map once over a
+    single state in the same arithmetic.
     """
 
     def __init__(self, g: Graph, p: PatternSet):
@@ -140,27 +148,37 @@ class FieldEngine:
         self.p = p
         if g.is_complete:
             self.storage = "complete"
-            self._xi = p.bits.astype(np.float64)
+            exact32 = p.m_patterns * g.n < 2 ** 24
+            self._xi = p.bits.astype(np.float32 if exact32 else np.float64)
         else:
             self.storage = "csr"
-            self._j = sp.csr_array(
-                (self._edge_weights(), g.indices, g.indptr), shape=(g.n, g.n))
+            weights = self._edge_weights()
+            if self._max_row_sum < 2 ** 15:
+                weights = weights.astype(np.int16)
+            self._j = sp.csr_array((weights, g.indices, g.indptr), shape=(g.n, g.n))
             self._blocks = self._row_blocks()
 
     def _edge_weights(self) -> np.ndarray:
-        """Per-arc pattern products M - 2 popcount(x_i XOR x_j), aligned with
-        g.indices.  Rows go in runs of about 4 MB of gathered words each."""
+        """Per-arc pattern products M - 2 popcount(x_i XOR x_j) as int32,
+        aligned with g.indices; also sets _max_row_sum to max_i r_i.  Rows
+        go in runs of about 4 MB of gathered words each."""
         indptr, indices = self.g.indptr, self.g.indices
         x = _pack(self.p.bits)
         out = np.empty(indices.size, dtype=np.int32)
+        self._max_row_sum = 0
         gathered = indices.size * x.shape[1] * x.itemsize     # bytes per side
         rows = _row_cuts(indptr, -(-gathered // 4_000_000))
         for lo, hi in zip(rows[:-1], rows[1:]):
             a, b = indptr[lo], indptr[hi]
-            words = np.repeat(x[lo:hi], np.diff(indptr[lo:hi + 1]), axis=0)
+            deg = np.diff(indptr[lo:hi + 1])
+            words = np.repeat(x[lo:hi], deg, axis=0)
             words ^= np.take(x, indices[a:b], axis=0)
             diff = np.bitwise_count(words).sum(axis=1, dtype=np.int32)
             out[a:b] = self.p.m_patterns - 2 * diff
+            # r_i <= M deg_i < 2^31, so the int32 row sums are exact; empty
+            # rows are left out, so each segment is one row's arcs
+            row_sums = np.add.reduceat(np.abs(out[a:b]), (indptr[lo:hi] - a)[deg > 0])
+            self._max_row_sum = max(self._max_row_sum, int(row_sums.max(initial=0)))
         return out
 
     def _row_blocks(self) -> list:
@@ -180,14 +198,16 @@ class FieldEngine:
                                  data, x.reshape(-1), out[lo:hi].reshape(-1))
 
     def fields(self, s: np.ndarray) -> np.ndarray:
-        """h(s) for a state (n,) or each column of a block (n, B), exact int32."""
+        """h(s) for a state (n,) or each column of a block (n, B), exact
+        int32: the product runs in the engine's type, widened once here."""
         if self.storage == "complete":
-            x = s.astype(np.float64)
+            x = s.astype(self._xi.dtype)
             return (self._xi.T @ (self._xi @ x) - self.p.m_patterns * x).astype(np.int32)
+        dtype = self._j.data.dtype
         if s.ndim == 1:
-            return self._j @ s.astype(np.int32)
-        x = np.ascontiguousarray(s, dtype=np.int32)
-        out = np.zeros(x.shape, dtype=np.int32)
+            return (self._j @ s.astype(dtype)).astype(np.int32, copy=False)
+        x = np.ascontiguousarray(s, dtype=dtype)
+        out = np.zeros(x.shape, dtype=dtype)
         first, *rest = self._blocks
         futures = [_POOL.submit(self._block_product, b, x, out) for b in rest]
         try:
@@ -195,16 +215,17 @@ class FieldEngine:
         finally:
             for f in futures:
                 f.result()
-        return out
+        return out.astype(np.int32, copy=False)
 
     def sweep(self, s: np.ndarray) -> np.ndarray:
         """One sequential sweep of the (n,) state s: vertices update in
         index order, each seeing every earlier update.  On "complete" it
         keeps u = Xi s and adds 2 s_i Xi[:, i] when spin i flips to s_i, so
-        a vertex costs O(M); u's entries are integers of magnitude <= n."""
+        a vertex costs O(M); u's entries are integers of magnitude <= n.
+        Both storages compute in the type, and under the bound, of fields()."""
         out = np.array(s, dtype=np.int8)
         if self.storage == "complete":
-            u = self._xi @ out.astype(np.float64)
+            u = self._xi @ out.astype(self._xi.dtype)
             for i, col in enumerate(np.ascontiguousarray(self._xi.T)):
                 new = 1 if col @ u >= self.p.m_patterns * int(out[i]) else -1
                 if new != out[i]:

@@ -173,6 +173,17 @@ def test_mgf_monte_carlo_on_large_graph():
     assert np.all(rep.empirical[:, 0] >= 1.0 - 1e-9) or rep.empirical[0, 0] == pytest.approx(1.0)
 
 
+def int64_forms(g, bits):
+    """S(x) = sum over edges {u, v} of x_u x_v in int64, for each row of
+    0/1 bits turned into signs."""
+    x = bits.astype(np.int64) * 2 - 1
+    src, dst = graphs.edge_endpoints(g)
+    want = np.zeros(bits.shape[0], dtype=np.int64)
+    for u, v in zip(src[src < dst], dst[src < dst]):
+        want += x[:, u] * x[:, v]
+    return want
+
+
 def test_sampled_forms_match_brute_force_across_chunks():
     # n = 333 is odd, so the 5e6-sign draw blocks end mid-word and the
     # 250k-entry form chunks leave a remainder; every sampled S(x) must
@@ -183,12 +194,20 @@ def test_sampled_forms_match_brute_force_across_chunks():
     bits = np.concatenate([
         rng.integers(0, 2, size=(min(rows, samples - lo), g.n), dtype=np.int8)
         for lo in range(0, samples, rows)])
-    x = bits.astype(np.float64) * 2 - 1
-    src, dst = graphs.edge_endpoints(g)
-    want = np.zeros(samples)
-    for u, v in zip(src[src < dst], dst[src < dst]):
-        want += x[:, u] * x[:, v]
-    assert np.array_equal(bounds._form_values(g, samples, 7), want)
+    got = bounds._form_values(g, samples, 7)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, int64_forms(g, bits))
+
+
+@pytest.mark.parametrize("g", [graphs.gen_complete(16), graphs.gen_erdos_renyi(16, 0.5, 3),
+                               graphs.gen_erdos_renyi(9, 0.0, 0), graphs.gen_complete(1)],
+                         ids=["K16", "gnp16", "edgeless9", "K1"])
+def test_enumerated_forms_match_int64_oracle(g):
+    # the exhaustive path: sign vector k has x_i = +1 when bit i of k is set
+    bits = (np.arange(2 ** g.n)[:, np.newaxis] >> np.arange(g.n)) & 1
+    got = bounds._form_values(g, 1000, 0)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, int64_forms(g, bits))
 
 
 def test_degree_tail_main_regime():

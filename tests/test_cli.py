@@ -181,6 +181,16 @@ def test_verify_exit_code_signals_violations(tmp_path, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("check", ["energy", "subgraph", "tails", "mgf"])
+def test_verify_graph_checks_need_graph(tmp_path, capsys, check):
+    # --n/--p feed only the degrees check; the others read a graph file
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--check", check, "--n", "100", "--p", "0.1",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: --check {check} needs --graph\n"
+    assert not out.exists()
+
+
 def test_usage_errors_exit_2(tmp_path):
     gpath = gen_graph_file(tmp_path)
     assert run_cli("gen", "--model", "nosuch", "--n", "5", "--out", "x") == 2

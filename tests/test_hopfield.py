@@ -134,31 +134,91 @@ def test_popcount_weights_match_per_arc_product(n, density, m, seed):
 
 def test_thread_count_does_not_change_results(monkeypatch):
     # one, two and three row blocks give bit-identical fields and block
-    # runs, down to graphs with fewer rows than threads
+    # runs, down to graphs with fewer rows than threads.  The last graph
+    # repeats each of its 9 patterns 4096 times, so J is 4096 times the
+    # 9-pattern couplings and every vertex of degree 8 or more has a row
+    # sum of at least 2^15: its engine computes in int32, the others in int16
     rng = np.random.default_rng(11)
-    for n, density in ((2, 0.0), (3, 0.5), (40, 0.3), (300, 0.05)):
+    for n, density, reps in ((2, 0.0, 1), (3, 0.5, 1), (40, 0.3, 1), (300, 0.05, 1),
+                             (300, 0.05, 4096)):
         g = graphs.gen_erdos_renyi(n, density, int(rng.integers(2 ** 31)))
         assert not g.is_complete
-        p = hopfield.sample_patterns(9, n, int(rng.integers(2 ** 31)))
-        starts = np.stack([hopfield.corrupt(p.pattern(mu % 9), 0.2, mu)
+        base = hopfield.sample_patterns(9, n, int(rng.integers(2 ** 31)))
+        p = hopfield.PatternSet(np.repeat(base.bits, reps, axis=0))
+        starts = np.stack([hopfield.corrupt(base.pattern(mu % 9), 0.2, mu)
                            for mu in range(16)], axis=1)
         runs = []
         for threads in (1, 2, 3):
             monkeypatch.setattr(hopfield, "_THREADS", threads)
             eng = hopfield.FieldEngine(g, p)
+            assert eng._j.data.dtype == (np.int32 if reps > 1 else np.int16)
             if n >= 40:
                 assert len(eng._blocks) == threads
             else:   # blocks split the arcs, so an edgeless graph is one block
                 assert 1 <= len(eng._blocks) <= min(threads, n)
             runs.append((eng.fields(starts), hopfield.run_block(eng, starts, 30)))
         h, out = runs[0]
-        assert np.array_equal(h, brute_weights(g, p) @ starts)
+        assert np.array_equal(h, reps * brute_weights(g, base) @ starts)
         for h_t, out_t in runs[1:]:
             assert h_t.dtype == h.dtype and np.array_equal(h_t, h)
             assert np.array_equal(out_t.terminal, out.terminal)
             assert np.array_equal(out_t.steps, out.steps)
             assert np.array_equal(out_t.final, out.final)
             assert np.array_equal(out_t.energy, out.energy, equal_nan=True)
+
+
+def check_all_block_shapes(eng, oracle, rng):
+    """fields() on the all-ones state as one state, as a one-column block
+    and in a block with a random and an all-minus column, against
+    oracle(s) in int64, and always returned as int32."""
+    n = eng.g.n
+    ones = np.ones(n, dtype=np.int8)
+    block = np.stack([ones, random_state(rng, n), -ones], axis=1)
+    for s in (ones, ones[:, np.newaxis], block):
+        got = eng.fields(s)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, oracle(s.astype(np.int64)))
+
+
+@pytest.mark.parametrize("hub_degree,dtype", [(2 ** 15 - 1, np.int16), (2 ** 15, np.int32)])
+def test_csr_row_sum_bound_picks_exact_type(hub_degree, dtype):
+    # a star with one all-ones pattern has J = A, so the hub's row sum is
+    # its degree: int16 holds 2^15 - 1, and at 2^15 the engine must widen
+    # to int32, or the hub's field on the all-ones state wraps to -2^15
+    n = hub_degree + 1
+    g = graphs._from_pairs(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
+    eng = hopfield.FieldEngine(g, hopfield.PatternSet(np.ones((1, n), dtype=np.int8)))
+    assert eng.storage == "csr" and eng._j.data.dtype == dtype
+    a = graphs.adjacency_matrix(g).astype(np.int64)
+    check_all_block_shapes(eng, lambda s: a @ s, np.random.default_rng(0))
+    ones = np.ones(n, dtype=np.int8)
+    assert eng.fields(ones)[0] == hub_degree
+    assert np.array_equal(hopfield.sequential_sweep(eng, ones), ones)
+
+
+def lean_complete(n):
+    """K_n whose neighbor array is a zero-stride stand-in of the right
+    length: the "complete" storage reads only K_n's size and degrees, and
+    the real array would take 8 n (n - 1) bytes."""
+    return graphs.Graph(n=n, indptr=np.arange(n + 1, dtype=np.int64) * (n - 1),
+                        indices=np.broadcast_to(np.int64(0), (n * (n - 1),)),
+                        degrees=np.full(n, n - 1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("n,m,dtype", [(4096, 4095, np.float32), (4097, 4097, np.float64)])
+def test_complete_product_bound_picks_exact_type(n, m, dtype):
+    # all-ones patterns put M n into Xi^T (Xi s) on the all-ones state.
+    # 4095 * 4096 is below 2^24; 4097^2 = 2^24 + 8193 is odd, so float32
+    # would round it and the field M (n - 1) would come out one off.  The
+    # patterns take no memory; Xi as float64 is the test's 134 MB peak.
+    small = lean_complete(5)
+    assert np.array_equal(small.indptr, graphs.gen_complete(5).indptr)
+    g = lean_complete(n)
+    assert g.is_complete and g.indptr[-1] == g.indices.size
+    eng = hopfield.FieldEngine(g, hopfield.PatternSet(np.broadcast_to(np.int8(1), (m, n))))
+    assert eng.storage == "complete" and eng._xi.dtype == dtype
+    check_all_block_shapes(eng, lambda s: m * (s.sum(axis=0) - s), np.random.default_rng(1))
+    assert eng.fields(np.ones(n, dtype=np.int8))[0] == m * (n - 1)
 
 
 def test_field_budget_guard_raises_before_allocating():
