@@ -6,6 +6,7 @@ satisfies E[exp(tS)] <= exp(l t^2 / (2 (1 - lambda1 t))) for
 P[S > y] <= exp(-y^2 / (2 (l + lambda1 y))).  Both hold deterministically
 for every graph, so the checkers here enumerate all sign vectors when n is
 small and fall back to seeded Monte Carlo with confidence intervals above.
+S goes through FieldEngine's exact product, with no n x n array.
 """
 from __future__ import annotations
 
@@ -14,17 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, adjacency_matrix, gen_erdos_renyi
+from .graphs import Graph, gen_erdos_renyi
+from .hopfield import FieldEngine, PatternSet
 from .spectral import SpectralSummary
 
 # 2^16 states is the largest full enumeration worth doing
 _EXHAUSTIVE_LIMIT = 16
 # batch means behind the Monte Carlo interval of mgf_check
 _MGF_BATCHES = 100
-# matrix entries per quadratic-form chunk (1 MB of float32), and signs per
-# random draw: numpy packs four int8 draws into a 32-bit word, so the draw
-# block size is part of the seed -> sample mapping
-_FORM_CHUNK = 250_000
+# sign vectors per field evaluation, and signs per random draw: numpy packs
+# four int8 draws into a 32-bit word, so the draw block size is part of the
+# seed -> sample mapping
+_FORM_BLOCK = 256
 _DRAW_CHUNK = 5_000_000
 
 
@@ -57,7 +59,9 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[f
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # exact at 0 successes, where center - half leaves a ~1e-19 residue
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    return lo, min(1.0, center + half)
 
 
 @dataclass(frozen=True)
@@ -108,33 +112,33 @@ class DegreeTailReport:
 def _form_values(g: Graph, samples: int, seed) -> np.ndarray:
     """S(x) = (1/2) x^T A x, exact integers as float64, for every sign
     vector x when n <= _EXHAUSTIVE_LIMIT, else for `samples` uniform draws
-    seeded by seed.  Rows are held as 0/1 bits and turned into signs
-    _FORM_CHUNK matrix entries at a time.  x A runs in float32, exact since
-    every partial sum of (x A)_j is an integer of magnitude at most the
-    max degree, below 2^24; each row of (x A) * x is summed in float64."""
-    a = adjacency_matrix(g).astype(np.float32).toarray()
+    seeded by seed.  Rows are held as 0/1 bits; _FORM_BLOCK of them at a
+    time become the columns of an int8 sign block x, and A x is the field
+    of the engine whose one pattern is all ones.  Each |h_i x_i| <= max
+    degree, so h * x is exact in int32 and its columns are summed in int64."""
+    engine = FieldEngine(g, PatternSet(np.ones((1, g.n), dtype=np.int8)))
     if g.n <= _EXHAUSTIVE_LIMIT:
         codes = np.arange(2 ** g.n, dtype=np.uint32)[:, np.newaxis]
-        blocks = [(codes >> np.arange(g.n, dtype=np.uint32)) & 1]
+        blocks = [((codes >> np.arange(g.n, dtype=np.uint32)) & 1).astype(np.int8)]
     else:
         rng = np.random.default_rng(seed)
         draw = max(1, _DRAW_CHUNK // g.n)
         blocks = (rng.integers(0, 2, size=(min(draw, samples - lo), g.n), dtype=np.int8)
                   for lo in range(0, samples, draw))
-    step = max(1, _FORM_CHUNK // max(g.n, 1))
     out = []
     for bits in blocks:
-        for lo in range(0, bits.shape[0], step):
-            x = np.multiply(bits[lo:lo + step], 2.0, dtype=np.float32)
-            x -= 1.0
-            out.append(0.5 * ((x @ a) * x).sum(axis=1, dtype=np.float64))
-    return np.concatenate(out)
+        for lo in range(0, bits.shape[0], _FORM_BLOCK):
+            x = 2 * bits[lo:lo + _FORM_BLOCK].T - 1
+            out.append((engine.fields(x) * x).sum(axis=0, dtype=np.int64))
+    return 0.5 * np.concatenate(out)
 
 
 def tail_bound(y: float, l: int, lambda1: float) -> float:
-    """exp(-y^2 / (2 (l + lambda1 y))) for y > 0."""
+    """exp(-y^2 / (2 (l + lambda1 y))) for y > 0; 0 when l = 0 (S = 0)."""
     if y <= 0:
         raise ValueError("y must be positive")
+    if l == 0:
+        return 0.0
     return math.exp(-y * y / (2.0 * (l + lambda1 * y)))
 
 

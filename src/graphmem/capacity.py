@@ -28,31 +28,27 @@ from .hopfield import (FieldEngine, PatternSet, corrupt, run_block, run_dynamics
 from .spectral import SpectralSummary, spectrum_summary
 
 _DIVERGE_CAP = 10_000
+# safety factor on the analytic step bound in default_k_max
+_C_ITER = 10.0
 
 
 @dataclass(frozen=True)
 class TheoryParams:
     """Unspecified constants of the theory, exposed rather than hidden.
 
-    alpha is the capacity prefactor (grid-searchable, must stay below
-    alpha_c when a placeholder value for it is declared); c1 scales the
-    contraction function f, c2 the floor rho_zero, c_steps the sequence
-    recursions, and C_iter the step-count safety factor.
+    c1 scales the contraction function f, c2 the floor rho_zero, and
+    c_steps the sequence recursions.  The capacity prefactor alpha is an
+    argument of theoretical_capacity.
     """
 
-    alpha: float = 0.05
     c1: float = 1.0
     c2: float = 1.0
     c_steps: float = 1.0
-    C_iter: float = 10.0
-    alpha_c: float | None = None
 
     def __post_init__(self):
-        for name in ("alpha", "c1", "c2", "c_steps", "C_iter"):
+        for name in ("c1", "c2", "c_steps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.alpha_c is not None and self.alpha >= self.alpha_c:
-            raise ValueError("alpha must stay below the declared alpha_c")
 
 
 _DEFAULTS = TheoryParams()
@@ -161,8 +157,7 @@ def f_rho(rho: float, s: SpectralSummary, d: DegreeStats, M: int,
 
 
 def predict_steps(s: SpectralSummary, M: int, n: int, rho_start: float,
-                  params: TheoryParams = _DEFAULTS,
-                  ratio_min: float | None = None) -> StepPrediction:
+                  params: TheoryParams = _DEFAULTS) -> StepPrediction:
     """Iterate the four contraction sequences from rho_start down to 1/n.
 
         w' = c w (kappa/lambda1)^2          x' = c x h(x)
@@ -170,7 +165,7 @@ def predict_steps(s: SpectralSummary, M: int, n: int, rho_start: float,
 
     Each must decrease strictly every iteration; a sequence that fails to,
     or takes more than 10^4 iterations, marks the prediction diverged.
-    ratio_min is the required lower bound on lambda1/kappa (default log n).
+    lambda1/kappa must exceed log n.
     """
     if not 0.0 < rho_start <= 1.0 / math.e:
         raise ValueError("rho_start must lie in (0, 1/e]")
@@ -181,7 +176,7 @@ def predict_steps(s: SpectralSummary, M: int, n: int, rho_start: float,
     if s.lambda1 <= 0:
         raise ValueError("lambda1 must be positive")
     ratio = s.kappa / s.lambda1
-    need = math.log(n) if ratio_min is None else ratio_min
+    need = math.log(n)
     if s.kappa > 0 and s.lambda1 / s.kappa <= need:
         raise ValueError(f"lambda1/kappa = {s.lambda1 / s.kappa:.3g} "
                          f"below the required ratio {need:.3g}")
@@ -223,10 +218,10 @@ def predict_steps(s: SpectralSummary, M: int, n: int, rho_start: float,
     return StepPrediction(n0=max(counts.values()), diverged=False, counts=counts)
 
 
-def default_k_max(s: SpectralSummary, n: int,
-                  params: TheoryParams = _DEFAULTS) -> int:
+def default_k_max(s: SpectralSummary, n: int) -> int:
     """Step budget: ceil(C * max(log log n, log n / max(log(lambda1 /
-    (kappa log n)), 0.1))), the analytic step bound with safety factor C."""
+    (kappa log n)), 0.1))), the analytic step bound with safety factor
+    C = _C_ITER."""
     if n < 3:
         raise ValueError("n must be >= 3")
     log_n = math.log(n)
@@ -236,7 +231,7 @@ def default_k_max(s: SpectralSummary, n: int,
         second = log_n / denom
     else:
         second = 0.0
-    return max(1, math.ceil(params.C_iter * max(math.log(log_n), second)))
+    return max(1, math.ceil(_C_ITER * max(math.log(log_n), second)))
 
 
 def _trial_seed(master_seed: int, index: int) -> np.random.SeedSequence:

@@ -229,8 +229,8 @@ def _cmd_theory(config: ExperimentConfig) -> int:
     t0 = time.perf_counter()
     g = _load_graph(config.params["graph"])
     pr = config.params
-    params = capacity_mod.TheoryParams(alpha=pr["alpha"], c1=pr["c1"],
-                                       c2=pr["c2"], c_steps=pr["c_steps"])
+    params = capacity_mod.TheoryParams(c1=pr["c1"], c2=pr["c2"],
+                                       c_steps=pr["c_steps"])
     s = spectral_mod.spectrum_summary(g)
     d = graphs_mod.degree_stats(g)
     m_pat = pr["m"]
@@ -253,7 +253,7 @@ def _cmd_theory(config: ExperimentConfig) -> int:
         "rho_zero": r0,
         "f_rho_table": table,
         "predict_steps": pred_doc,
-        "k_max_default": capacity_mod.default_k_max(s, g.n, params),
+        "k_max_default": capacity_mod.default_k_max(s, g.n),
         "h1": vars(spectral_mod.check_h1(s, d, pr["c1_h1"])),
         "h2": vars(spectral_mod.check_h2(s, g.n, pr["c_h2"])),
     }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from graphmem import bounds, graphs, spectral
+from graphmem import bounds, graphs, hopfield, spectral
 
 
 def load_lines(tmp_path, text):
@@ -46,7 +46,8 @@ def test_wilson_interval_textbook_value():
 
 
 def test_wilson_interval_properties():
-    assert bounds.wilson_interval(0, 40)[0] == 0.0
+    for t in (40, 1000, 2000):
+        assert bounds.wilson_interval(0, t)[0] == 0.0
     assert bounds.wilson_interval(40, 40)[1] == 1.0
     for k, t in ((3, 20), (150, 200), (1, 1000)):
         lo, hi = bounds.wilson_interval(k, t)
@@ -65,6 +66,24 @@ def test_analytic_bound_formulas():
         bounds.mgf_bound(2.0 / 3.0, 3, 1.5)   # t at 1/lambda1
     with pytest.raises(ValueError):
         bounds.mgf_bound(-0.1, 3, 1.5)
+
+
+def test_tail_bound_is_zero_without_edges():
+    # S is identically 0 on an edgeless graph, so P[S > y] = 0 for y > 0
+    assert bounds.tail_bound(1.0, 0, 0.0) == 0.0
+    assert bounds.tail_bound(np.float64(2.5), 0, 0.0) == 0.0
+    with pytest.raises(ValueError):
+        bounds.tail_bound(0.0, 0, 0.0)
+
+
+def test_tail_on_edgeless_graph():
+    g = graphs.gen_erdos_renyi(30, 0.0, 0)
+    s = spectral.spectrum_summary(g)
+    rep = bounds.quadratic_form_tail(g, s, [0.5, 1.0, 2.0], 2_000, 0)
+    assert rep.method == "monte_carlo"
+    assert np.array_equal(rep.analytic, [0.0, 0.0, 0.0])
+    assert np.array_equal(rep.empirical[:, 0], [0.0, 0.0, 0.0])
+    assert rep.violations == 0
 
 
 def test_tail_exhaustive_single_edge(tmp_path):
@@ -184,19 +203,37 @@ def int64_forms(g, bits):
     return want
 
 
-def test_sampled_forms_match_brute_force_across_chunks():
-    # n = 333 is odd, so the 5e6-sign draw blocks end mid-word and the
-    # 250k-entry form chunks leave a remainder; every sampled S(x) must
-    # still equal the sum over edges for the signs the seed draws
-    g = graphs.gen_erdos_renyi(333, 0.1, 2)
-    samples, rows = 16_000, 5_000_000 // 333
-    rng = np.random.default_rng(7)
-    bits = np.concatenate([
-        rng.integers(0, 2, size=(min(rows, samples - lo), g.n), dtype=np.int8)
+def sampled_bits(n, samples, seed):
+    """The 0/1 rows _form_values draws: blocks of 5e6 // n rows of n signs."""
+    rng = np.random.default_rng(seed)
+    rows = 5_000_000 // n
+    return np.concatenate([
+        rng.integers(0, 2, size=(min(rows, samples - lo), n), dtype=np.int8)
         for lo in range(0, samples, rows)])
-    got = bounds._form_values(g, samples, 7)
-    assert got.dtype == np.float64
-    assert np.array_equal(got, int64_forms(g, bits))
+
+
+# n = 333 is odd, so the 5e6-sign draw blocks end mid-word and both draw
+# blocks leave a partial field block; K_40 takes the engine's complete
+# storage, every other graph its CSR storage
+@pytest.mark.parametrize("g, samples", [
+    (graphs.gen_erdos_renyi(333, 0.1, 2), 16_000),
+    (graphs.gen_complete(40), 4_096),
+    (graphs.gen_erdos_renyi(30, 0.0, 0), 4_096),
+    (graphs.gen_two_cliques(5, 60, True), 4_096),
+    (graphs.gen_erdos_renyi(50, 0.3, 1), 1_001),
+], ids=["gnp333", "K40", "edgeless30", "two_clique", "ragged1001"])
+def test_sampled_forms_match_brute_force_across_chunks(g, samples, monkeypatch):
+    # every sampled S(x) must equal the sum over edges for the signs the
+    # seed draws, bit for bit whether the product runs on one row block or two
+    want = int64_forms(g, sampled_bits(g.n, samples, 7))
+    runs = []
+    for threads in (1, 2):
+        monkeypatch.setattr(hopfield, "_THREADS", threads)
+        runs.append(bounds._form_values(g, samples, 7))
+    for got in runs:
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+    assert runs[0].tobytes() == runs[1].tobytes()
 
 
 @pytest.mark.parametrize("g", [graphs.gen_complete(16), graphs.gen_erdos_renyi(16, 0.5, 3),

@@ -19,13 +19,11 @@ def stats(m):
 
 
 def test_theory_params_validation():
-    capacity.TheoryParams(alpha=0.1, c1=2.0)
+    capacity.TheoryParams(c1=2.0)
     with pytest.raises(ValueError):
-        capacity.TheoryParams(alpha=-0.1)
+        capacity.TheoryParams(c1=-0.1)
     with pytest.raises(ValueError):
         capacity.TheoryParams(c2=0.0)
-    with pytest.raises(ValueError):
-        capacity.TheoryParams(alpha=0.3, alpha_c=0.2)
 
 
 def test_theoretical_capacity_formula():
@@ -159,12 +157,8 @@ def test_predict_steps_validates():
         capacity.predict_steps(s, 5, 10 ** 4, 0.5)       # rho_start > 1/e
     with pytest.raises(ValueError):
         capacity.predict_steps(summary(100.0, 90.0), 5, 10 ** 4, 1.0 / math.e)
-    # explicit ratio_min overrides the log n default: a gap fine by the
-    # default can be rejected by a stricter floor
     good = summary(1000.0, 10.0)
     assert not capacity.predict_steps(good, 5, 10 ** 4, 1.0 / math.e).diverged
-    with pytest.raises(ValueError):
-        capacity.predict_steps(good, 5, 10 ** 4, 1.0 / math.e, ratio_min=200.0)
 
 
 def test_default_k_max_complete_1024():

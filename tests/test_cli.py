@@ -191,6 +191,28 @@ def test_verify_graph_checks_need_graph(tmp_path, capsys, check):
     assert not out.exists()
 
 
+def test_verify_tails_on_edgeless_graph_is_silent(tmp_path):
+    # the analytic tail is 0 there, not a division by zero
+    gpath = tmp_path / "e.txt"
+    gpath.write_text("5 0\n")
+    out = tmp_path / "v.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "graphmem", "verify", "--check", "tails",
+         "--graph", str(gpath), "--samples", "1000", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert json.loads(out.read_text())["violations"] == 0
+
+
+def test_theory_rejects_nonpositive_alpha(tmp_path, capsys):
+    path = tmp_path / "k.txt"
+    assert run_cli("gen", "--model", "complete", "--n", "16", "--out", str(path)) == 0
+    assert run_cli("theory", "--graph", str(path), "--m", "3", "--alpha", "0",
+                   "--out", str(tmp_path / "th.json")) == 2
+    assert "alpha must be positive" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2(tmp_path):
     gpath = gen_graph_file(tmp_path)
     assert run_cli("gen", "--model", "nosuch", "--n", "5", "--out", "x") == 2
