@@ -59,9 +59,11 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[f
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
-    # exact at 0 successes, where center - half leaves a ~1e-19 residue
+    # exact at the ends: at 0 successes center - half leaves a ~1e-19
+    # residue, and at all successes center + half can round to 1 - 2^-53
     lo = 0.0 if successes == 0 else max(0.0, center - half)
-    return lo, min(1.0, center + half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi
 
 
 @dataclass(frozen=True)

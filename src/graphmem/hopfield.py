@@ -24,6 +24,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -217,12 +218,31 @@ class FieldEngine:
                 f.result()
         return out.astype(np.int32, copy=False)
 
+    @cached_property
+    def _level_rows(self) -> tuple:
+        """J's weights in the graph's level order and, for each row in that
+        order, the threshold t_i = ceil(c_i / 2) with c = J 1; gathered on
+        the first sweep, so engines that never sweep pay nothing."""
+        lv = self.g._levels
+        c = self.fields(np.ones(self.g.n, dtype=np.int8))[lv.order]
+        dtype = self._j.data.dtype
+        return self._j.data[lv.arcs], (-(-c // 2)).astype(dtype)
+
     def sweep(self, s: np.ndarray) -> np.ndarray:
         """One sequential sweep of the (n,) state s: vertices update in
         index order, each seeing every earlier update.  On "complete" it
         keeps u = Xi s and adds 2 s_i Xi[:, i] when spin i flips to s_i, so
         a vertex costs O(M); u's entries are integers of magnitude <= n.
-        Both storages compute in the type, and under the bound, of fields()."""
+
+        On "csr" it takes one row-block product per level of the graph's
+        level schedule (graphs._level_schedule): a level's vertices are
+        pairwise non-adjacent, and each sees its lower neighbours' new
+        spins and its higher neighbours' old ones, exactly as in index
+        order.  The state is held in level order as b = (s + 1) / 2, so a
+        level reads and writes one slice, and since h = 2 J b - J 1, its
+        new spins are +1 exactly where (J b)_i >= t_i.  Every partial sum
+        of J b is bounded by r_i, so both storages compute in the type,
+        and under the bound, of fields()."""
         out = np.array(s, dtype=np.int8)
         if self.storage == "complete":
             u = self._xi @ out.astype(self._xi.dtype)
@@ -232,10 +252,16 @@ class FieldEngine:
                     out[i] = new
                     u += 2 * new * col
             return out
-        indptr, indices, data = self.g.indptr, self.g.indices, self._j.data
-        for i in range(self.g.n):
-            lo, hi = indptr[i], indptr[i + 1]
-            out[i] = 1 if data[lo:hi] @ out[indices[lo:hi]] >= 0 else -1
+        lv, (data, t) = self.g._levels, self._level_rows
+        b = (out[lv.order] > 0).astype(data.dtype)
+        jb = np.zeros(b.size, dtype=data.dtype)
+        for lo, hi in zip(lv.cuts[:-1], lv.cuts[1:]):
+            # indptr's offsets index the whole of cols and data, so the
+            # level's rows need no rebasing
+            _sparsetools.csr_matvec(hi - lo, b.size, lv.indptr[lo:hi + 1], lv.cols,
+                                    data, b, jb[lo:hi])
+            b[lo:hi] = jb[lo:hi] >= t[lo:hi]
+        out[lv.order] = 2 * b - 1
         return out
 
 

@@ -46,9 +46,11 @@ def test_wilson_interval_textbook_value():
 
 
 def test_wilson_interval_properties():
-    for t in (40, 1000, 2000):
+    # both limits are exact at the ends; 4 of 4 is where center + half
+    # rounds to 1 - 2^-53
+    for t in (1, 4, 40, 1000, 2000):
         assert bounds.wilson_interval(0, t)[0] == 0.0
-    assert bounds.wilson_interval(40, 40)[1] == 1.0
+        assert bounds.wilson_interval(t, t)[1] == 1.0
     for k, t in ((3, 20), (150, 200), (1, 1000)):
         lo, hi = bounds.wilson_interval(k, t)
         assert 0.0 <= lo <= k / t <= hi <= 1.0

@@ -397,6 +397,67 @@ def test_edge_list_round_trip_every_generator(g):
     assert np.array_equal(back.degrees, g.degrees)
 
 
+def pairs_graph(n, pairs):
+    e = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    return graphs._from_pairs(n, e[:, 0], e[:, 1])
+
+
+def oracle_levels(g):
+    """Each vertex's sweep level by its definition, in index order: 0
+    with no lower-indexed neighbour, else 1 + the largest level among them,
+    so the level count is 1 + the longest index-increasing path."""
+    level = np.zeros(g.n, dtype=np.int64)
+    for j in range(g.n):
+        lower = g.neighbors(j)[g.neighbors(j) < j]
+        level[j] = 1 + level[lower].max() if lower.size else 0
+    return level
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_graph())
+@example(pairs_graph(12, [(i, i + 1) for i in range(11)]))
+@example(pairs_graph(12, [(0, j) for j in range(1, 12)]))
+@example(pairs_graph(12, [(j, 11) for j in range(11)]))
+@example(pairs_graph(12, []))
+@example(graphs.gen_complete(1))
+def test_level_schedule_matches_its_definition(g):
+    lv = g._levels
+    assert lv.cuts[0] == 0 and lv.cuts[-1] == g.n
+    assert all(lo < hi for lo, hi in zip(lv.cuts[:-1], lv.cuts[1:]))
+    level = np.empty(g.n, dtype=np.int64)
+    for k, (lo, hi) in enumerate(zip(lv.cuts[:-1], lv.cuts[1:])):
+        assert np.all(np.diff(lv.order[lo:hi]) > 0)     # index order within a level
+        level[lv.order[lo:hi]] = k
+    assert np.array_equal(level, oracle_levels(g))
+    src, dst = graphs.edge_endpoints(g)
+    assert np.all(level[src] != level[dst])
+    # row r of the reordered CSR is vertex order[r] with its own arcs
+    assert lv.indptr[0] == 0
+    for r, v in enumerate(lv.order):
+        arcs = lv.arcs[lv.indptr[r]:lv.indptr[r + 1]]
+        assert np.array_equal(g.indices[arcs], g.neighbors(v))
+        assert np.array_equal(lv.order[lv.cols[lv.indptr[r]:lv.indptr[r + 1]]],
+                              g.neighbors(v))
+
+
+ZIGZAG = [v for k in range(6) for v in (k, 11 - k)]
+
+
+@pytest.mark.parametrize("pairs,levels", [
+    ([(i, i + 1) for i in range(11)], 12),
+    # the path 0, 11, 1, 10, 2, 9, ...: every vertex is a local extreme
+    ([tuple(sorted(e)) for e in zip(ZIGZAG[:-1], ZIGZAG[1:])], 2),
+    ([(0, j) for j in range(1, 12)], 2),
+    ([(j, 11) for j in range(11)], 2),
+    ([(i, j) for c in (range(4), range(4, 9)) for i in c for j in c if i < j], 5),
+    ([], 1),
+], ids=["path", "path_zigzag", "star_first", "star_last", "cliques", "edgeless"])
+def test_level_count_is_one_more_than_the_longest_increasing_path(pairs, levels):
+    g = pairs_graph(12, pairs)
+    assert len(g._levels.cuts) - 1 == levels
+    assert g._levels is g._levels
+
+
 def test_integer_fields_are_ascii_digits(tmp_path):
     # np.loadtxt reads neither "_" separators nor other scripts' digits,
     # although Python's int() reads both

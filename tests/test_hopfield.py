@@ -339,6 +339,130 @@ def test_sequential_sweep_uses_updated_prefix(tmp_path):
     assert np.array_equal(hopfield.parallel_step(eng, s), [1, -1])
 
 
+def pairs_graph(n, pairs):
+    e = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    return graphs._from_pairs(n, e[:, 0], e[:, 1])
+
+
+def repeated(base, reps):
+    """base's patterns each repeated reps times: J is reps times base's
+    couplings, so every sweep is base's sweep.  An odd pattern count makes
+    every base coupling odd, so with reps = 2^15 every non-isolated
+    vertex's row sum is at least 2^15, which forces int32."""
+    return hopfield.PatternSet(np.repeat(base.bits, reps, axis=0))
+
+
+def check_sweep_type(eng, g, reps):
+    if eng.storage == "csr" and g.edge_count:
+        assert eng._j.data.dtype == (np.int16 if reps == 1 else np.int32)
+
+
+# the CSR sweep runs level by level (graphs._level_schedule): these graphs
+# take n levels (path), 2 (stars), the largest clique's size, and 1
+SWEEP_GRAPHS = {
+    "path": pairs_graph(13, [(i, i + 1) for i in range(12)]),
+    "star_first": pairs_graph(13, [(0, j) for j in range(1, 13)]),
+    "star_last": pairs_graph(13, [(j, 12) for j in range(12)]),
+    "cliques_and_isolated": pairs_graph(14, [(i, j) for c in (range(0, 4), range(5, 10),
+                                                               range(11, 13))
+                                              for i in c for j in c if i < j]),
+    "edgeless": pairs_graph(9, []),
+}
+
+
+@pytest.mark.parametrize("reps", [1, 2 ** 15], ids=["int16", "int32"])
+@pytest.mark.parametrize("name", SWEEP_GRAPHS)
+def test_sweep_matches_oracle_on_structured_graphs(name, reps):
+    g = SWEEP_GRAPHS[name]
+    rng = np.random.default_rng(13)
+    for m in (1, 3, 5):
+        base = hopfield.sample_patterns(m, g.n, int(rng.integers(2 ** 31)))
+        eng = hopfield.FieldEngine(g, repeated(base, reps))
+        assert eng.storage == "csr"
+        check_sweep_type(eng, g, reps)
+        for _ in range(40):
+            s = random_state(rng, g.n)
+            assert np.array_equal(eng.sweep(s), brute_sweep(g, base, s))
+
+
+@pytest.mark.parametrize("reps", [1, 2 ** 15], ids=["int16", "int32"])
+def test_sweep_matches_oracle_on_every_small_graph(reps):
+    # every graph on 1 to 3 vertices from every state; K_1, K_2 and K_3
+    # take the closed-form storage, the others CSR
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        states = [np.array(bits, dtype=np.int8) * 2 - 1
+                  for bits in np.ndindex(*(2,) * n)]
+        for mask in range(2 ** len(pairs)):
+            g = pairs_graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+            base = hopfield.sample_patterns(int(rng.choice([1, 3])), n,
+                                            int(rng.integers(2 ** 31)))
+            eng = hopfield.FieldEngine(g, repeated(base, reps))
+            check_sweep_type(eng, g, reps)
+            for s in states:
+                assert np.array_equal(eng.sweep(s), brute_sweep(g, base, s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), density=st.floats(0.0, 1.0), m=st.sampled_from([1, 3, 5]),
+       reps=st.sampled_from([1, 2 ** 15]), seed=st.integers(0, 2 ** 31))
+def test_sweep_matches_oracle(n, density, m, reps, seed):
+    g = graphs.gen_erdos_renyi(n, density, seed)
+    base = hopfield.sample_patterns(m, n, seed + 1)
+    eng = hopfield.FieldEngine(g, repeated(base, reps))
+    check_sweep_type(eng, g, reps)
+    rng = np.random.default_rng(seed)
+    for s in (random_state(rng, n), base.pattern(0),
+              hopfield.corrupt(base.pattern(0), 0.3, seed)):
+        assert np.array_equal(eng.sweep(s), brute_sweep(g, base, s))
+
+
+@pytest.mark.parametrize("reps", [1, 2 ** 15], ids=["int16", "int32"])
+def test_sweep_cascades_along_a_path(reps):
+    # with one all-ones pattern J = A, and a vertex between a +1 and a -1
+    # neighbour has field 0 and goes to +1.  Two +1 spins at the start of
+    # the path spread to its end in one sweep, which updates in index
+    # order; two at its end spread back one vertex per sweep
+    g = SWEEP_GRAPHS["path"]
+    n = g.n
+    base = hopfield.PatternSet(np.ones((1, n), dtype=np.int8))
+    eng = hopfield.FieldEngine(g, repeated(base, reps))
+    check_sweep_type(eng, g, reps)
+    for plus, sweeps in (((0, 1), 1), ((n - 2, n - 1), n - 2)):
+        s = -np.ones(n, dtype=np.int8)
+        s[list(plus)] = 1
+        for _ in range(sweeps):
+            nxt = eng.sweep(s)
+            assert np.array_equal(nxt, brute_sweep(g, base, s))
+            assert not np.array_equal(nxt, s)
+            s = nxt
+        assert np.all(s == 1)
+
+
+def test_sweep_builds_one_schedule_per_graph_and_only_when_it_sweeps(monkeypatch):
+    calls = []
+    build = graphs._level_schedule
+    monkeypatch.setattr(graphs, "_level_schedule", lambda g: calls.append(g) or build(g))
+    rng = np.random.default_rng(15)
+    g = graphs.gen_erdos_renyi(60, 0.2, 4)
+    engines = [hopfield.FieldEngine(g, hopfield.sample_patterns(m, g.n, m)) for m in (3, 5)]
+    block = np.stack([random_state(rng, g.n) for _ in range(4)], axis=1)
+    for eng in engines:
+        eng.fields(block[:, 0])
+        eng.fields(block)
+        hopfield.run_block(eng, block, 10)
+        hopfield.run_dynamics(g, eng.p, block[:, 0], k_max=10, engine=eng)
+        hopfield.energy_S(eng, block[:, 0])
+    assert calls == []
+    # each engine gathers its own weights into the one shared level order
+    for eng in engines:
+        for s in block.T:
+            assert np.array_equal(eng.sweep(s), brute_sweep(g, eng.p, s))
+    assert calls == [g]
+    assert engines[0]._level_rows[0] is not engines[1]._level_rows[0]
+
+
 def test_energy_never_increases():
     # exact monotonicity, no tolerance: H^S under the sweep, H^T under the
     # parallel map
