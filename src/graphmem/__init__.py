@@ -15,7 +15,6 @@ from .graphs import (
     gen_erdos_renyi,
     gen_two_cliques,
     load_edge_list,
-    make_weights,
     powerlaw_weights,
     save_edge_list,
     validate_graph,
@@ -86,7 +85,7 @@ __all__ = [
     "corrupt", "default_k_max", "degree_stats", "degree_tail_experiment",
     "edge_endpoints", "energy_S", "energy_T", "entropy", "f_rho",
     "gen_chung_lu", "gen_complete", "gen_erdos_renyi", "gen_two_cliques",
-    "hamming", "load_edge_list", "make_weights", "mgf_bound",
+    "hamming", "load_edge_list", "mgf_bound",
     "mgf_check", "parallel_step", "parse_config_echo", "powerlaw_weights",
     "predict_steps", "quadratic_form_tail", "recovery_rate", "rel_entropy",
     "reproduce_corollaries", "rho_zero", "run", "run_dynamics",

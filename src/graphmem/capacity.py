@@ -17,7 +17,7 @@ retrieval on the two-clique graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class CapacityEstimate:
     trials_per_m: int
     rho: float
     k_max: int
-    curve: list[CurvePoint] = field(default_factory=list)
+    curve: list[CurvePoint]
 
 
 @dataclass(frozen=True)
@@ -326,15 +326,13 @@ def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
                               mean_steps=est.mean_steps, spot_ok=spot_ok)
         return spot_ok and est.rate >= threshold
 
+    # lo is the largest passing M evaluated so far: the bracket passes 1,
+    # 2, 4, ..., lo and each passing midpoint becomes lo
     lo = 0
     m = 1
     while m <= m_cap and passes(m):
         lo = m
         m *= 2
-    if lo == 0:
-        points = sorted(curve.values(), key=lambda c: c.m)
-        return CapacityEstimate(m_hat=0, threshold=threshold, trials_per_m=trials,
-                                rho=rho, k_max=k_max, curve=points)
     hi = m  # first failing M (or just beyond the cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -345,6 +343,5 @@ def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
         else:
             hi = mid
     points = sorted(curve.values(), key=lambda c: c.m)
-    m_hat = max((c.m for c in points if c.spot_ok and c.rate >= threshold), default=0)
-    return CapacityEstimate(m_hat=m_hat, threshold=threshold, trials_per_m=trials,
+    return CapacityEstimate(m_hat=lo, threshold=threshold, trials_per_m=trials,
                             rho=rho, k_max=k_max, curve=points)

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +39,16 @@ class ExperimentConfig:
     """Resolved run configuration: command, parameters, seed, output."""
 
     command: str
-    params: dict = field(default_factory=dict)
-    master_seed: int = 0
-    output_path: str | None = None
-    format: str = "csv"
+    params: dict
+    master_seed: int
+    output_path: str | None
+
+    @property
+    def format(self) -> str:
+        """The artifact format the command writes."""
+        if self.command in ("capacity", "reproduce"):
+            return "csv"
+        return "edgelist" if self.command == "gen" else "json"
 
     def to_dict(self) -> dict:
         # output_path is where the artifact lands, not part of the
@@ -562,10 +568,8 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
         except ValueError:
             raise ValueError(f"--sizes must be comma-separated integers, got "
                              f"{params['sizes']!r}") from None
-    fmt = "csv" if ns.command in ("capacity", "reproduce") else \
-        ("edgelist" if ns.command == "gen" else "json")
     return ExperimentConfig(command=ns.command, params=params, master_seed=seed,
-                            output_path=getattr(ns, "out", None), format=fmt)
+                            output_path=getattr(ns, "out", None))
 
 
 def main(argv=None) -> int:

@@ -40,17 +40,26 @@ class Graph:
 
     The neighbors of vertex ``i`` are ``indices[indptr[i]:indptr[i+1]]``,
     sorted ascending.  Every undirected edge {i, j} appears twice, once in
-    each endpoint's list.  Arrays are read-only; a Graph never mutates.
+    each endpoint's list.  The vertex count ``n`` and the ``degrees`` are
+    read off indptr.  Arrays are read-only; a Graph never mutates.
     """
 
-    n: int
     indptr: np.ndarray
     indices: np.ndarray
-    degrees: np.ndarray
 
     def __post_init__(self):
-        for a in (self.indptr, self.indices, self.degrees):
+        for a in (self.indptr, self.indices):
             a.setflags(write=False)
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        d = np.diff(self.indptr)
+        d.setflags(write=False)
+        return d
 
     @property
     def edge_count(self) -> int:
@@ -73,11 +82,8 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-        )
+        return (np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -154,55 +160,47 @@ class WeightSequence:
     """Expected-degree sequence for the random graph model G(w).
 
     Pair {i, j} is an edge with probability rho_norm * w_i * w_j, where
-    rho_norm = 1 / sum(w).  Feasibility requires max(w)^2 < sum(w).
-    ``i0``, ``c`` and ``beta`` record the power-law parameterization when
-    there is one; hand-built sequences leave them at None.
+    rho_norm = 1 / sum(w).  The constructor copies the weights and checks
+    them: non-negative, non-increasing (the order the edge sampler walks),
+    with a positive entry, and feasible, max(w)^2 < sum(w), so that every
+    pair probability stays below 1.
+
+    Raises
+    ------
+    ValueError
+        If the weights are empty, not 1-d, negative somewhere, increasing
+        somewhere, or all zero.
+    InfeasibleWeightsError
+        If max(w)^2 >= sum(w).
     """
 
     weights: np.ndarray
-    rho_norm: float
-    i0: int | None = None
-    c: float | None = None
-    beta: float | None = None
 
     def __post_init__(self):
-        self.weights.setflags(write=False)
+        w = np.array(self.weights, dtype=float)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError("weights must be a non-empty 1-d sequence")
+        if np.any(w < 0):
+            raise ValueError("weights must be non-negative")
+        if np.any(np.diff(w) > 0):
+            raise ValueError("weights must be non-increasing")
+        total = float(w.sum())
+        if total <= 0:
+            raise ValueError("weights must contain a positive entry")
+        if float(w[0]) ** 2 >= total:
+            raise InfeasibleWeightsError(
+                f"max weight squared {w[0] ** 2:.6g} >= total weight {total:.6g}"
+            )
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     @property
     def n(self) -> int:
         return self.weights.size
 
     @property
-    def expected_avg_degree(self) -> float:
-        return float(self.weights.sum() / self.weights.size)
-
-    @property
-    def expected_max_degree(self) -> float:
-        return float(self.weights.max())
-
-
-def make_weights(weights, i0=None, c=None, beta=None) -> WeightSequence:
-    """Validate a weight sequence and attach its normalization.
-
-    Weights must be non-negative, non-increasing, with at least one
-    positive entry, and satisfy the feasibility condition
-    max(w)^2 < sum(w) so that every pair probability stays below 1.
-    """
-    w = np.array(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-d sequence")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    if np.any(np.diff(w) > 0):
-        raise ValueError("weights must be non-increasing")
-    total = float(w.sum())
-    if total <= 0:
-        raise ValueError("weights must contain a positive entry")
-    if float(w[0]) ** 2 >= total:
-        raise InfeasibleWeightsError(
-            f"max weight squared {w[0] ** 2:.6g} >= total weight {total:.6g}"
-        )
-    return WeightSequence(w, rho_norm=1.0 / total, i0=i0, c=c, beta=beta)
+    def rho_norm(self) -> float:
+        return 1.0 / float(self.weights.sum())
 
 
 def _arc_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -218,7 +216,7 @@ def _from_keys(n: int, keys: np.ndarray) -> Graph:
     ``keys`` as the targets."""
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     keys %= n
-    return Graph(n=n, indptr=indptr, indices=keys, degrees=np.diff(indptr))
+    return Graph(indptr, keys)
 
 
 def _from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
@@ -234,10 +232,9 @@ def gen_complete(n: int) -> Graph:
     row = np.arange(n, dtype=np.int64)
     for i in range(n):
         indices[i * (n - 1):(i + 1) * (n - 1)] = np.concatenate([row[:i], row[i + 1:]])
-    degrees = np.full(n, n - 1, dtype=np.int64)
     indptr = np.arange(0, n * (n - 1) + 1, n - 1, dtype=np.int64) if n > 1 \
         else np.zeros(2, dtype=np.int64)
-    return Graph(n=n, indptr=indptr, indices=indices, degrees=degrees)
+    return Graph(indptr, indices)
 
 
 def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
@@ -330,9 +327,7 @@ def powerlaw_weights(n: int, beta: float, d_avg: float, m_bar: float) -> WeightS
     i0_real = n * (d_avg * (beta - 2.0) / (m_bar * (beta - 1.0))) ** (beta - 1.0)
     i0 = max(1, int(math.floor(i0_real + 0.5)))
     idx = i0 + np.arange(n, dtype=np.float64)
-    w = c * idx ** (-inv)
-    seq = make_weights(w, i0=i0, c=c, beta=beta)
-    return seq
+    return WeightSequence(c * idx ** (-inv))
 
 
 def gen_chung_lu(w: WeightSequence, seed) -> Graph:
@@ -341,12 +336,10 @@ def gen_chung_lu(w: WeightSequence, seed) -> Graph:
     Self-pairs are never considered, so vertex i has expected degree
     w_i * (1 - rho * w_i), which is w_i up to the excluded self-loop term.
 
-    The Miller-Hagberg sampler draws the graph in O(n + |E|) expected time.
-    It needs the weights non-increasing, which ``make_weights`` checks;
-    a hand-built WeightSequence that increases anywhere raises ValueError.
+    The Miller-Hagberg sampler draws the graph in O(n + |E|) expected time;
+    it relies on the weights being non-increasing, which WeightSequence
+    checks when it is built.
     """
-    if np.any(np.diff(w.weights) > 0):
-        raise ValueError("weights must be non-increasing")
     rng = np.random.default_rng(seed)
     return _from_pairs(w.n, *_edge_pairs(w.weights, w.rho_norm, rng))
 
@@ -387,7 +380,7 @@ def degree_stats(g: Graph) -> DegreeStats:
 def edge_endpoints(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Directed incidence arrays (src, dst): every undirected edge appears
     as both (i, j) and (j, i), aligned with g.indices."""
-    src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
     return src, g.indices
 
 
@@ -401,10 +394,8 @@ def adjacency_matrix(g: Graph):
 
 def validate_graph(g: Graph) -> None:
     """Raise ValueError unless g is a well-formed undirected simple graph."""
-    if g.indptr.size != g.n + 1 or g.indptr[0] != 0 or g.indptr[-1] != g.indices.size:
+    if g.indptr.size == 0 or g.indptr[0] != 0 or g.indptr[-1] != g.indices.size:
         raise ValueError("indptr inconsistent with indices")
-    if not np.array_equal(np.diff(g.indptr), g.degrees):
-        raise ValueError("degrees inconsistent with indptr")
     if g.indices.size and (g.indices.min() < 0 or g.indices.max() >= g.n):
         raise ValueError("neighbor index out of range")
     src, dst = edge_endpoints(g)
@@ -511,9 +502,6 @@ def _parse_pairs(path) -> np.ndarray | None:
         # a whitespace-only body is "no data" to loadtxt; the line count
         # already tells it from an empty one
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        # numpy 1.x reads "1.0" as the integer 1 with this warning
-        warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
-                                DeprecationWarning)
         try:
             return np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2, skiprows=1)
         except ValueError:

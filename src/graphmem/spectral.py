@@ -37,9 +37,12 @@ class SpectralSummary:
 
     lambda1: float
     kappa: float
-    gap: float
     method: str          # "closed_form" | "iterative"
     residual: float
+
+    @property
+    def gap(self) -> float:
+        return self.lambda1 - self.kappa
 
 
 @dataclass(frozen=True)
@@ -85,13 +88,12 @@ def spectrum_summary(g: Graph, tol: float = 1e-8) -> SpectralSummary:
     residual exceeds tol * max(1, |lambda1|).
     """
     if g.edge_count == 0:
-        return SpectralSummary(0.0, 0.0, 0.0, "closed_form", 0.0)
+        return SpectralSummary(0.0, 0.0, "closed_form", 0.0)
     if g.is_complete:
-        top = float(g.n - 1)
-        return SpectralSummary(top, 1.0, top - 1.0, "closed_form", 0.0)
+        return SpectralSummary(float(g.n - 1), 1.0, "closed_form", 0.0)
     lam1, kappa, residual = _lambda1_kappa_iterative(g, tol)
-    return SpectralSummary(lambda1=lam1, kappa=kappa, gap=lam1 - kappa,
-                           method="iterative", residual=residual)
+    return SpectralSummary(lambda1=lam1, kappa=kappa, method="iterative",
+                           residual=residual)
 
 
 def _lambda1_kappa_iterative(g: Graph, tol: float) -> tuple[float, float, float]:

@@ -79,7 +79,7 @@ def test_criterion_04_energy_monotonicity_bulk():
                                    int(rng.integers(2 ** 31)))
         elif kind == 2:
             base = np.sort(rng.uniform(0.5, math.sqrt(n) * 0.9, n))[::-1]
-            g = gm.gen_chung_lu(gm.make_weights(base), int(rng.integers(2 ** 31)))
+            g = gm.gen_chung_lu(gm.WeightSequence(base), int(rng.integers(2 ** 31)))
         else:
             small = int(rng.integers(2, n - 1))
             g = gm.gen_two_cliques(small, n, bridged=bool(rng.integers(2)))
@@ -183,8 +183,7 @@ def test_criterion_09_step_predictor_loglog_growth():
     # at most 2x, and no sequence ever fails to decrease
     def k_summary(n):
         return gm.SpectralSummary(lambda1=float(n - 1), kappa=1.0,
-                                  gap=float(n - 2), method="closed_form",
-                                  residual=0.0)
+                                  method="closed_form", residual=0.0)
 
     small = gm.predict_steps(k_summary(10 ** 3), 10, 10 ** 3, 1.0 / math.e)
     big = gm.predict_steps(k_summary(10 ** 6), 10, 10 ** 6, 1.0 / math.e)

@@ -130,8 +130,8 @@ def test_tail_detector_fires_on_understated_spectrum():
     # an adversarial summary (top eigenvalue deliberately understated)
     # shrinks the bound below the exact tail; the detector must count it
     g = graphs.gen_complete(3)
-    fake = spectral.SpectralSummary(lambda1=-1.4, kappa=1.4, gap=0.0,
-                                    method="dense", residual=0.0)
+    fake = spectral.SpectralSummary(lambda1=-1.4, kappa=1.4, method="dense",
+                                    residual=0.0)
     rep = bounds.quadratic_form_tail(g, fake, [2.0], 1000, 0)
     assert rep.violations == 1
 

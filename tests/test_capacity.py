@@ -8,8 +8,7 @@ from graphmem import bounds, capacity, graphs, hopfield, spectral
 
 
 def summary(lambda1, kappa):
-    return spectral.SpectralSummary(lambda1=lambda1, kappa=kappa,
-                                    gap=lambda1 - kappa, method="dense",
+    return spectral.SpectralSummary(lambda1=lambda1, kappa=kappa, method="dense",
                                     residual=0.0)
 
 
@@ -165,8 +164,8 @@ def test_default_k_max_complete_1024():
     s = summary(1023.0, 1.0)
     assert capacity.default_k_max(s, 1024) == 20
     # edgeless: only the log log term remains
-    s0 = spectral.SpectralSummary(0.0, 0.0, 0.0, "dense", 0.0)
-    assert capacity.default_k_max(summary(5.0, 0.0), 100) >= 1
+    s0 = spectral.SpectralSummary(0.0, 0.0, "dense", 0.0)
+    assert capacity.default_k_max(s0, 100) >= 1
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,11 @@ def test_complete_graph_structure():
     assert g.edge_count == 21
     assert np.all(brute_degrees(g) == 6)
     assert list(g.neighbors(3)) == [0, 1, 2, 4, 5, 6]
+    # degrees are read off indptr once, and are read-only like it
+    assert np.array_equal(g.degrees, np.diff(g.indptr))
+    assert g.degrees is g.degrees
+    with pytest.raises(ValueError, match="read-only"):
+        g.degrees[0] = 0
 
 
 def test_complete_graph_n1_is_empty():
@@ -48,7 +53,7 @@ def test_subnormal_probabilities_draw_no_edge_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert graphs.gen_erdos_renyi(10, 5e-324, 0).edge_count == 0
-        w = graphs.make_weights([1.0, 1.0, 1.0, 1e-160, 1e-160])
+        w = graphs.WeightSequence([1.0, 1.0, 1.0, 1e-160, 1e-160])
         g = graphs.gen_chung_lu(w, 0)
     assert g.degrees[3] == 0 and g.degrees[4] == 0
 
@@ -127,7 +132,7 @@ def test_seed_fixes_the_graph(tmp_path):
     path = tmp_path / "g.txt"
     digests = []
     for g in (graphs.gen_erdos_renyi(50, 0.1, 0),
-              graphs.gen_chung_lu(graphs.make_weights(np.linspace(8.0, 0.0, 50)), 0)):
+              graphs.gen_chung_lu(graphs.WeightSequence(np.linspace(8.0, 0.0, 50)), 0)):
         graphs.save_edge_list(g, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert digests == [
@@ -136,28 +141,30 @@ def test_seed_fixes_the_graph(tmp_path):
     ]
 
 
-def test_make_weights_copies_and_validates():
+def test_weight_sequence_copies_and_validates():
     raw = np.array([3.0, 2.0, 2.0, 2.0, 1.0])
-    w = graphs.make_weights(raw)
+    w = graphs.WeightSequence(raw)
     raw[0] = 99.0
     assert w.weights[0] == 3.0
     assert not w.weights.flags.writeable
     with pytest.raises(ValueError):
-        graphs.make_weights([1.0, 2.0])          # increasing
+        graphs.WeightSequence([])                # empty
     with pytest.raises(ValueError):
-        graphs.make_weights([1.0, -1.0])         # negative
+        graphs.WeightSequence([[1.0], [0.5]])    # not 1-d
     with pytest.raises(ValueError):
-        graphs.make_weights([0.0, 0.0])          # no mass
+        graphs.WeightSequence([1.0, 2.0])        # increasing
+    with pytest.raises(ValueError):
+        graphs.WeightSequence([1.0, -1.0])       # negative
+    with pytest.raises(ValueError):
+        graphs.WeightSequence([0.0, 0.0])        # no mass
     with pytest.raises(graphs.InfeasibleWeightsError):
-        graphs.make_weights([10.0, 1.0])         # max^2 >= total mass
+        graphs.WeightSequence([10.0, 1.0])       # max^2 >= total mass
 
 
 def test_weight_sequence_expected_degrees():
-    w = graphs.make_weights([4.0, 3.0, 3.0, 3.0, 2.0, 2.0])
+    w = graphs.WeightSequence([4.0, 3.0, 3.0, 3.0, 2.0, 2.0])
     assert w.n == 6
     assert w.rho_norm == pytest.approx(1.0 / 17.0)
-    assert w.expected_max_degree == pytest.approx(4.0)
-    assert w.expected_avg_degree == pytest.approx(17.0 / 6.0)
 
 
 def test_powerlaw_weights_match_target_moments():
@@ -168,10 +175,12 @@ def test_powerlaw_weights_match_target_moments():
     # a few percent of d_avg
     assert 0.9 * m_bar <= w.weights[0] <= 1.1 * m_bar
     assert abs(w.weights.mean() - d_avg) / d_avg < 0.05
-    assert w.i0 >= 1
-    # closed form away from the cutoff: w_i = c (i0 + i)^(-1/(beta-1))
-    i = 1000
-    assert w.weights[i] == pytest.approx(w.c * (w.i0 + i) ** (-1.0 / (beta - 1.0)))
+    # closed form: w_i = c (i0 + i)^(-1/(beta-1)), with c and i0 as the
+    # docstring defines them
+    c = (beta - 2.0) / (beta - 1.0) * d_avg * n ** (1.0 / (beta - 1.0))
+    i0 = max(1, round(n * (d_avg * (beta - 2.0) / (m_bar * (beta - 1.0))) ** (beta - 1.0)))
+    i = np.array([0, 1000, n - 1])
+    assert w.weights[i] == pytest.approx(c * (i0 + i) ** (-1.0 / (beta - 1.0)))
     with pytest.raises(ValueError):
         graphs.powerlaw_weights(100, 1.9, 5.0, 20.0)
     with pytest.raises(ValueError):
@@ -186,16 +195,16 @@ def test_powerlaw_second_order_average_exceeds_first():
 
 
 def test_chung_lu_rejects_increasing_weights():
-    # a hand-built WeightSequence skips make_weights' order check
-    w = graphs.WeightSequence(np.array([1.0, 2.0, 3.0]), rho_norm=1.0 / 6.0)
+    # the sampler needs non-increasing weights; no WeightSequence can be
+    # built without them
     with pytest.raises(ValueError, match="non-increasing"):
-        graphs.gen_chung_lu(w, 0)
+        graphs.WeightSequence(np.array([1.0, 2.0, 3.0]))
 
 
 def test_chung_lu_matches_expected_degrees():
     # E[deg i] = w_i rho sum_{j != i} w_j = w_i (1 - rho w_i) under the
     # normalization rho = 1/sum(w); average over many draws, 5 sigma window
-    w = graphs.make_weights(np.linspace(8.0, 1.0, 60))
+    w = graphs.WeightSequence(np.linspace(8.0, 1.0, 60))
     reps = 400
     acc = np.zeros(60)
     for s in range(reps):
@@ -207,7 +216,7 @@ def test_chung_lu_matches_expected_degrees():
 
 
 def test_chung_lu_zero_weight_vertices_are_isolated():
-    w = graphs.make_weights([2.0, 2.0, 1.0, 1.0, 0.0, 0.0])
+    w = graphs.WeightSequence([2.0, 2.0, 1.0, 1.0, 0.0, 0.0])
     for s in range(20):
         g = graphs.gen_chung_lu(w, s)
         graphs.validate_graph(g)
@@ -219,7 +228,7 @@ def test_chung_lu_uniform_weights_reduce_to_gnp():
     # constant weights w := pn make every pair probability w^2/sum(w) = p
     from scipy import stats
     n, p = 300, 0.1
-    w = graphs.make_weights(np.full(n, p * n))
+    w = graphs.WeightSequence(np.full(n, p * n))
     deg_cl = np.concatenate([brute_degrees(graphs.gen_chung_lu(w, s)) for s in range(8)])
     deg_er = np.concatenate([brute_degrees(graphs.gen_erdos_renyi(n, p, 900 + s)) for s in range(8)])
     res = stats.ks_2samp(deg_cl, deg_er)
@@ -374,7 +383,7 @@ def any_graph(draw):
         base[n - draw(st.integers(0, n - 1)):] = 0.0   # isolated tail
         # scale t < sum(base) keeps max(w)^2 = t^2 below sum(w) = t sum(base)
         scale = draw(st.floats(0.05, 0.95)) * base.sum()
-        return graphs.gen_chung_lu(graphs.make_weights(scale * base), seed)
+        return graphs.gen_chung_lu(graphs.WeightSequence(scale * base), seed)
     n = draw(st.integers(4, 30))
     return graphs.gen_two_cliques(draw(st.integers(2, n - 2)), n,
                                   bridged=draw(st.booleans()))
@@ -568,7 +577,7 @@ def oracle_load(path):
     for i, j in edges:
         rows[i].append(j)
         rows[j].append(i)
-    return raw_graph([sorted(r) for r in rows], n=n)
+    return raw_graph([sorted(r) for r in rows])
 
 
 MUTATIONS = ["blank", "whitespace", "one_field", "three_fields", "non_integer",
@@ -653,26 +662,21 @@ def test_loader_matches_per_line_oracle(g, kind, data):
 
 
 
-def raw_graph(rows, n=None, degrees=None, indptr=None):
+def raw_graph(rows, indptr=None):
     """A Graph built straight from adjacency lists, unchecked."""
-    n = len(rows) if n is None else n
     indices = np.array([j for row in rows for j in row], dtype=np.int64)
     if indptr is None:
         indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
-    indptr = np.asarray(indptr, dtype=np.int64)
-    if degrees is None:
-        degrees = np.diff(indptr)
-    return graphs.Graph(n, indptr, indices, np.asarray(degrees, dtype=np.int64))
+    return graphs.Graph(np.asarray(indptr, dtype=np.int64), indices)
 
 
 K4 = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
 
 @pytest.mark.parametrize("g,message", [
-    (raw_graph(K4, n=5), "indptr inconsistent"),
     (raw_graph(K4, indptr=[1, 3, 6, 9, 12]), "indptr inconsistent"),
     (raw_graph(K4, indptr=[0, 3, 6, 9, 11]), "indptr inconsistent"),
-    (raw_graph(K4, degrees=[3, 3, 2, 4]), "degrees inconsistent"),
+    (graphs.Graph(np.empty(0, np.int64), np.empty(0, np.int64)), "indptr inconsistent"),
     (raw_graph([[1], [0, 4], [], []]), "out of range"),
     (raw_graph([[1], [-1, 0], [], []]), "out of range"),
     (raw_graph([[1], [0, 1], [], []]), "self-loop"),
@@ -681,7 +685,7 @@ K4 = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
     (raw_graph([[1, 2, 3], [0, 2, 2, 3], [0, 1, 3], [0, 1, 2]]),
      r"^neighbor list of 1 not strictly increasing$"),
     (raw_graph([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1]]), "not symmetric"),
-], ids=["indptr-size", "indptr-start", "indptr-end", "degrees", "index-high",
+], ids=["indptr-start", "indptr-end", "indptr-empty", "index-high",
         "index-negative", "self-loop", "unsorted", "repeated", "asymmetric"])
 def test_validate_graph_rejections(g, message):
     with pytest.raises(ValueError, match=message):

@@ -200,9 +200,8 @@ def lean_complete(n):
     """K_n whose neighbor array is a zero-stride stand-in of the right
     length: the "complete" storage reads only K_n's size and degrees, and
     the real array would take 8 n (n - 1) bytes."""
-    return graphs.Graph(n=n, indptr=np.arange(n + 1, dtype=np.int64) * (n - 1),
-                        indices=np.broadcast_to(np.int64(0), (n * (n - 1),)),
-                        degrees=np.full(n, n - 1, dtype=np.int64))
+    return graphs.Graph(indptr=np.arange(n + 1, dtype=np.int64) * (n - 1),
+                        indices=np.broadcast_to(np.int64(0), (n * (n - 1),)))
 
 
 @pytest.mark.parametrize("n,m,dtype", [(4096, 4095, np.float32), (4097, 4097, np.float64)])
@@ -607,7 +606,7 @@ def block_cases(draw):
         g = graphs.gen_erdos_renyi(n, draw(st.floats(0.05, 1.0)), seed)
     elif kind == "chunglu":
         base = np.sort(np.random.default_rng(seed).uniform(0.5, 0.9 * np.sqrt(n), n))
-        g = graphs.gen_chung_lu(graphs.make_weights(base[::-1]), seed)
+        g = graphs.gen_chung_lu(graphs.WeightSequence(base[::-1]), seed)
     else:
         g = graphs.gen_two_cliques(draw(st.integers(2, n - 2)), n,
                                    bridged=draw(st.booleans()))
