@@ -458,7 +458,8 @@ def run(config: ExperimentConfig) -> int:
     except _IoFailure as exc:
         sys.stderr.write(f"i/o failure: {exc}\n")
         return _EXIT_IO
-    except (ValueError, graphs_mod.EdgeListParseError) as exc:
+    except (ValueError, graphs_mod.EdgeListParseError,
+            spectral_mod.SpectralSolverError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_USAGE
 

@@ -155,7 +155,7 @@ class DegreeStats:
     edge_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSequence:
     """Expected-degree sequence for the random graph model G(w).
 
@@ -201,6 +201,11 @@ class WeightSequence:
     @property
     def rho_norm(self) -> float:
         return 1.0 / float(self.weights.sum())
+
+    def __eq__(self, other):
+        if not isinstance(other, WeightSequence):
+            return NotImplemented
+        return np.array_equal(self.weights, other.weights)
 
 
 def _arc_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

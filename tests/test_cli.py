@@ -227,6 +227,30 @@ def test_usage_errors_exit_2(tmp_path):
                    "--out", str(tmp_path / "r.csv")) == 2
 
 
+def test_solver_failure_exits_2_without_traceback(tmp_path):
+    # 1e-18 is below float64 resolution, so the residual gate must fail
+    gpath = gen_graph_file(tmp_path, n=100, p=0.3, seed=9)
+    out = tmp_path / "s.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "graphmem", "spectrum", "--graph", str(gpath),
+         "--tol", "1e-18", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: Lanczos residual above tolerance")
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_meaningless_tolerance_exits_2(tmp_path, capsys, tol):
+    gpath = gen_graph_file(tmp_path)
+    out = tmp_path / "s.json"
+    assert run_cli("spectrum", "--graph", str(gpath), "--tol", tol,
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: tol must be finite and positive")
+    assert not out.exists()
+
+
 def test_gnp_suite_density_floor_enforced(tmp_path):
     # p below c0 (log N)^2 / N at the smallest size must be refused
     assert run_cli("reproduce", "--suite", "gnp", "--p", "0.01",

@@ -161,6 +161,17 @@ def test_weight_sequence_copies_and_validates():
         graphs.WeightSequence([10.0, 1.0])       # max^2 >= total mass
 
 
+def test_weight_sequence_compares_by_value():
+    w = graphs.WeightSequence([2.0, 2.0, 1.0])
+    assert w == graphs.WeightSequence(np.array([2.0, 2.0, 1.0]))
+    assert w != graphs.WeightSequence([2.0, 2.0, 0.5])
+    assert w != graphs.WeightSequence([2.0, 2.0, 1.0, 1.0])
+    assert w.__eq__([2.0, 2.0, 1.0]) is NotImplemented
+    assert w != [2.0, 2.0, 1.0]
+    with pytest.raises(TypeError):
+        hash(w)                                  # as for Graph: arrays inside
+
+
 def test_weight_sequence_expected_degrees():
     w = graphs.WeightSequence([4.0, 3.0, 3.0, 3.0, 2.0, 2.0])
     assert w.n == 6

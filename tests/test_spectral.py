@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphmem import graphs, spectral
 
@@ -132,18 +133,58 @@ def test_lanczos_matches_dense_on_adversarial_graphs(name):
 
 
 def test_one_lanczos_call_per_spectrum(monkeypatch):
+    # one call per spectrum, stopped at the tolerance its residual gate
+    # checks; the crossing subgraph's solve stops at the default 1e-8
     import scipy.sparse.linalg as sla
 
     calls = []
     real = sla.eigsh
 
     def recording(a, k, **kwargs):
-        calls.append((k, kwargs.get("which")))
+        calls.append((k, kwargs.get("which"), kwargs.get("tol")))
         return real(a, k, **kwargs)
 
     monkeypatch.setattr(sla, "eigsh", recording)
-    spectral.spectrum_summary(graphs.gen_erdos_renyi(100, 0.3, 9))
-    assert calls == [(2, "LM")]
+    g = graphs.gen_erdos_renyi(100, 0.3, 9)
+    s = spectral.spectrum_summary(g)
+    assert calls == [(2, "LM", 1e-8)]
+    spectral.spectrum_summary(g, tol=3e-6)
+    assert calls[1:] == [(2, "LM", 3e-6)]
+    spectral.subgraph_bounds(g, s, np.arange(40), np.arange(30, 90))
+    assert calls[2:] == [(1, "LA", 1e-8)]
+
+
+@st.composite
+def lanczos_graphs(draw):
+    # G(n, p), Chung-Lu on feasible non-increasing weights, and the bridged
+    # two-clique, whose two top eigenvalues nearly meet for equal halves
+    n = draw(st.integers(3, 150))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    model = draw(st.sampled_from(["gnp", "chunglu", "twoclique"]))
+    if model == "gnp":
+        return graphs.gen_erdos_renyi(n, draw(st.floats(0.0, 1.0)), seed)
+    if model == "chunglu":
+        raw = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, n))[::-1] + 1e-3
+        scale = draw(st.floats(0.05, 0.95)) * raw.sum() / raw[0] ** 2
+        return graphs.gen_chung_lu(graphs.WeightSequence(scale * raw), seed)
+    n = max(n, 4)
+    return graphs.gen_two_cliques(draw(st.integers(2, n - 2)), n, bridged=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lanczos_graphs())
+def test_default_tolerance_matches_dense(g):
+    # at the default tol ARPACK stops early, yet the eigenvalues it
+    # returns stay within 1e-9 * max(1, lambda1) of the dense solve
+    checked_summary(g)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_meaningless_tolerance_is_rejected(tol):
+    # rejected before any solve, K_n's closed form included
+    for g in (graphs.gen_erdos_renyi(100, 0.3, 9), graphs.gen_complete(5)):
+        with pytest.raises(ValueError, match="tol"):
+            spectral.spectrum_summary(g, tol=tol)
 
 
 def test_star_spectrum_both_methods(tmp_path):
