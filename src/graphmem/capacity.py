@@ -23,8 +23,8 @@ import numpy as np
 
 from .bounds import entropy, wilson_interval
 from .graphs import Graph, DegreeStats
-from .hopfield import (FieldEngine, PatternSet, corrupt, run_block, run_dynamics,
-                       sample_patterns)
+from .hopfield import (FieldEngine, PatternSet, _flip_count, run_block,
+                       run_dynamics, sample_patterns)
 from .spectral import SpectralSummary, spectrum_summary
 
 _DIVERGE_CAP = 10_000
@@ -234,9 +234,77 @@ def default_k_max(s: SpectralSummary, n: int) -> int:
     return max(1, math.ceil(_C_ITER * max(math.log(log_n), second)))
 
 
-def _trial_seed(master_seed: int, index: int) -> np.random.SeedSequence:
-    # splittable scheme: pure function of (master seed, trial index)
-    return np.random.SeedSequence(entropy=(int(master_seed), int(index)))
+# numpy's SeedSequence (4-word pool) and PCG64 seeding constants; numpy's
+# stability promise covers both, so _trial_states can replay them exactly
+_MASK32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2^32 for k = 0..count, as a uint32 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix: row r of the result xors consts[r] into v
+    and multiplies by consts[r + 1], so successive rows replay successive
+    hash calls; v is one row per call or one row broadcast across them."""
+    v = (v ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a hashed word y into the pool word x."""
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> 16)
+
+
+def _trial_states(seed, trials: int) -> list[dict]:
+    """PCG64(SeedSequence(entropy=(int(seed), t))).state for t < trials.
+
+    SeedSequence's pool mixing and generate_state(4, uint64) run for all
+    t at once, one row of a (words, trials) uint32 array per entropy or
+    pool word; PCG64's seeding (two 128-bit LCG steps) then runs on Python
+    ints.  The entropy is seed's little-endian uint32 words followed by t,
+    which is one word for any block that fits in memory.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    entropy = np.zeros((max(len(words) + 1, 4), trials), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(trials, dtype=np.uint32)
+    # hash calls: 4 to fill the pool, 3 per pool word to mix it into the
+    # others, 4 per entropy word beyond the pool's 4
+    extra = entropy.shape[0] - 4
+    consts = _hash_consts(_HASH_INIT_A, _HASH_MULT_A, 16 + 4 * extra)
+    pool = _hashmix(entropy[:4], consts[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[4 + 3 * src:8 + 3 * src]))
+    for j in range(extra):
+        pool = _mix(pool, _hashmix(entropy[4 + j], consts[16 + 4 * j:21 + 4 * j]))
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]],
+                   _hash_consts(_HASH_INIT_B, _HASH_MULT_B, 8))
+    states = []
+    for s0, s1, i0, i1 in np.ascontiguousarray(out.T, dtype="<u4").view("<u8").tolist():
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
@@ -245,24 +313,37 @@ def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
     """Exact-recovery fraction over uniformly drawn (mu, corruption) pairs,
     with a 95% Wilson interval.
 
-    Trial t draws its pattern mu, then floor(rho*n) uniform flips of it,
-    from its own generator, a pure function of (seed, t); all starts then
-    run together as one block of the parallel dynamics.
+    Trial t draws from rng = default_rng(SeedSequence(entropy=(seed, t))):
+    mu = rng.integers(M), then the floor(rho*n) flipped vertices
+    rng.choice(n, k, replace=False).  The generators' states come from one
+    seeding pass over all trials; all starts then run together as one
+    block of the parallel dynamics.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0.0 <= rho < 0.5:
         raise ValueError("rho must lie in [0, 1/2)")
+    n, k = g.n, _flip_count(rho, g.n)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
     mus = np.empty(trials, dtype=np.int64)
-    starts = np.empty((g.n, trials), dtype=np.int8)
-    for t in range(trials):
-        rng = np.random.default_rng(_trial_seed(seed, t))
+    flips = np.empty((trials, k), dtype=np.int64)
+    for t, state in enumerate(_trial_states(seed, trials)):
+        bitgen.state = state
         mus[t] = rng.integers(p.m_patterns)
-        starts[:, t] = corrupt(p.pattern(mus[t]), rho, rng)
+        if k:
+            flips[t] = rng.choice(n, k, replace=False)
+    targets = p.bits[mus]
+    starts = targets.T.copy()
+    # flat index of (vertex, trial) in the C-ordered (n, trials) starts
+    flips *= trials
+    flips += np.arange(trials)[:, None]
+    flat = starts.reshape(-1)
+    flat[flips] = -flat[flips]
     eng = engine if engine is not None else FieldEngine(g, p)
     out = run_block(eng, starts, k_max)
     recovered = ((out.terminal == "fixed_point")
-                 & (out.final == p.bits[mus].T).all(axis=0))
+                 & (out.final == targets.T).all(axis=0))
     succ = int(recovered.sum())
     step_sum = int(out.steps[recovered].sum())
     lo, hi = wilson_interval(succ, trials)
@@ -276,7 +357,7 @@ def _spot_trial(g: Graph, p: PatternSet, rho: float, k_max: int,
     """Structured corruption: flip the floor(rho*n) lowest-degree vertices
     (ties by index) of pattern 0.  On the two-clique graph this is the
     corruption that retrieval provably cannot undo."""
-    k = int(math.floor(rho * g.n + 1e-9))
+    k = _flip_count(rho, g.n)
     if k == 0:
         return True
     order = np.argsort(g.degrees, kind="stable")

@@ -397,14 +397,19 @@ def hamming(a, b) -> int:
     return int(np.count_nonzero(a != b))
 
 
+def _flip_count(rho: float, n: int) -> int:
+    """floor(rho * n), the number of coordinates a corruption flips; the
+    1e-9 absorbs representation error in rho*n (e.g. 0.29 * 100)."""
+    return int(math.floor(rho * n + 1e-9))
+
+
 def corrupt(s, rho: float, seed) -> np.ndarray:
     """Flip exactly floor(rho * n) coordinates, chosen uniformly without
     replacement."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     s = np.array(s, dtype=np.int8)
-    # the 1e-9 absorbs representation error in rho*n (e.g. 0.29 * 100)
-    k = int(math.floor(rho * s.size + 1e-9))
+    k = _flip_count(rho, s.size)
     if k:
         rng = np.random.default_rng(seed)
         idx = rng.choice(s.size, size=k, replace=False)

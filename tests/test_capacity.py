@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graphmem import bounds, capacity, graphs, hopfield, spectral
 
@@ -178,6 +179,12 @@ class TrialResult:
     final_distance: int    # Hamming miss, recorded for diagnostics only
 
 
+def trial_seed(master_seed, index):
+    """The per-trial seed recovery_rate's block replays: a pure function of
+    (master seed, trial index)."""
+    return np.random.SeedSequence(entropy=(int(master_seed), int(index)))
+
+
 def basin_trial(g, p, mu, rho, k_max, seed):
     """One corrupted-retrieval trial, run alone: the per-trial oracle for
     recovery_rate's block run.  Corrupt pattern mu by exactly floor(rho*n)
@@ -224,18 +231,22 @@ def test_recovery_rate_deterministic_and_bounded():
 def test_recovery_rate_matches_per_trial_loop():
     # the block run must reproduce, trial by trial, basin_trial on the
     # pattern and corruption drawn from SeedSequence((seed, t)); an
-    # overloaded memory and a tight cap mix in 2-cycles and step caps
-    cases = ((graphs.gen_complete(24), 2, 0.1, 8),
-             (graphs.gen_complete(40), 12, 0.2, 3),
-             (graphs.gen_complete(30), 25, 0.3, 2),
-             (graphs.gen_erdos_renyi(40, 0.3, 2), 3, 0.2, 4))
-    for g, m, rho, k_max in cases:
+    # overloaded memory and a tight cap mix in 2-cycles and step caps.
+    # Seeds of 2 and 3 words, rho = 0 (no flips) and k >= n/4 ride along.
+    cases = ((graphs.gen_complete(24), 2, 0.1, 8, 11),
+             (graphs.gen_complete(40), 12, 0.2, 3, 11),
+             (graphs.gen_complete(30), 25, 0.3, 2, 11),
+             (graphs.gen_erdos_renyi(40, 0.3, 2), 3, 0.2, 4, 11),
+             (graphs.gen_complete(32), 4, 0.25, 5, 2**40 + 3),
+             (graphs.gen_complete(36), 9, 0.0, 6, 2**64 + 9),
+             (graphs.gen_erdos_renyi(48, 0.4, 5), 2, 0.0, 6, 2**32))
+    for g, m, rho, k_max, seed in cases:
         n = g.n
         p = hopfield.sample_patterns(m, n, 3)
-        est = capacity.recovery_rate(g, p, rho, k_max, trials=30, seed=11)
+        est = capacity.recovery_rate(g, p, rho, k_max, trials=30, seed=seed)
         runs = []
         for t in range(30):
-            rng = np.random.default_rng(capacity._trial_seed(11, t))
+            rng = np.random.default_rng(trial_seed(seed, t))
             mu = int(rng.integers(p.m_patterns))
             runs.append(basin_trial(g, p, mu, rho, k_max, rng))
         wins = [r for r in runs if r.recovered]
@@ -244,6 +255,58 @@ def test_recovery_rate_matches_per_trial_loop():
             assert est.mean_steps == sum(r.steps for r in wins) / len(wins)
         else:
             assert math.isnan(est.mean_steps)
+
+
+def test_recovery_rate_starts_match_per_trial_draws(monkeypatch):
+    # the block's starts, column by column, are exactly the per-trial
+    # draws: integers(M), then choice(n, k, replace=False) of that pattern
+    seen = []
+    run_block = capacity.run_block
+
+    def spy(engine, starts, k_max):
+        seen.append(np.array(starts))
+        return run_block(engine, starts, k_max)
+
+    monkeypatch.setattr(capacity, "run_block", spy)
+    # above n = 10000 choice shuffles a tail instead of running Floyd's
+    # algorithm
+    k40, big = graphs.gen_complete(40), graphs.gen_erdos_renyi(12000, 5e-4, 1)
+    for g, rho, seed, trials in ((k40, 0.1, 7, 25), (k40, 0.45, 2**96 + 1, 25),
+                                 (k40, 0.0, 0, 25), (big, 0.02, 3, 4)):
+        p = hopfield.sample_patterns(6, g.n, 1)
+        seen.clear()
+        capacity.recovery_rate(g, p, rho, 1, trials=trials, seed=seed)
+        want = []
+        for t in range(trials):
+            rng = np.random.default_rng(trial_seed(seed, t))
+            want.append(hopfield.corrupt(p.pattern(rng.integers(6)), rho, rng))
+        assert np.array_equal(seen[0], np.stack(want, axis=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**160 - 1), trials=st.integers(1, 64))
+@example(seed=0, trials=1)
+@example(seed=2**32 - 1, trials=64)
+@example(seed=2**96, trials=3)     # 4 seed words and t: entropy past the pool
+@example(seed=2**159 + 5, trials=2)
+@example(seed=2**200 + 3, trials=4)
+def test_trial_states_match_seed_sequence(seed, trials):
+    got = capacity._trial_states(seed, trials)
+    assert got == [np.random.PCG64(trial_seed(seed, t)).state
+                   for t in range(trials)]
+
+
+def test_recovery_rate_seeds_as_seed_sequence_takes_them():
+    g = graphs.gen_complete(24)
+    p = hopfield.sample_patterns(5, 24, 2)
+    # int() truncates a float seed, and a negative one is rejected
+    assert (capacity.recovery_rate(g, p, 0.2, 4, trials=20, seed=1.5)
+            == capacity.recovery_rate(g, p, 0.2, 4, trials=20, seed=1))
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(entropy=(-1, 0))
+    for seed in (-1, -2**40, -1.5):
+        with pytest.raises(ValueError):
+            capacity.recovery_rate(g, p, 0.2, 4, trials=5, seed=seed)
 
 
 def test_capacity_search_builds_one_engine_per_m(monkeypatch):

@@ -321,6 +321,14 @@ def test_reproduce_complete_suite(tmp_path):
         assert int(row[6]) >= 1      # m_hat column
 
 
+def test_reproduce_complete_ladder_golden():
+    # the seed -> (pattern, corruption) mapping of every retrieval trial
+    # is pinned by these m_hat, which the ladder-complete benchmark also
+    # checks against its reference
+    out = cli.reproduce_corollaries("complete", [272, 288, 304], 0, trials=100)
+    assert [r["m_hat"] for r in out["rows"]] == [23, 22, 15]
+
+
 def test_reproduce_function_validates_suite():
     with pytest.raises(ValueError):
         cli.reproduce_corollaries("nosuch", [48, 64, 96], 0)
