@@ -5,8 +5,9 @@ reproduction suites.
 Every artifact embeds a schema version and the fully resolved
 configuration, so a run can be reproduced from its own output.  CSV bodies
 are byte-identical across repeated runs with the same config and seed;
-JSON reports carry wall-clock timing in the elapsed_seconds field, which
-is the one field excluded from that guarantee.
+JSON reports carry the wall-clock time of the graph load and the
+computation in the elapsed_seconds field, which is the one field excluded
+from that guarantee.
 """
 from __future__ import annotations
 
@@ -122,25 +123,32 @@ def _write_text(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _IoFailure(str(exc)) from exc
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
-class _IoFailure(Exception):
-    pass
+def _load_graph(config: ExperimentConfig) -> graphs_mod.Graph | None:
+    """The command's --graph, or None for a command that reads none:
+    gen and reproduce build their own graphs, and verify's degrees check
+    draws its own."""
+    pr = config.params
+    if config.command in ("gen", "reproduce") or pr.get("check") == "degrees":
+        return None
+    if "graph" not in pr:
+        # only verify's parser leaves --graph optional
+        raise ValueError(f"--check {pr['check']} needs --graph")
+    return graphs_mod.load_edge_list(pr["graph"])
 
 
-def _load_graph(path) -> graphs_mod.Graph:
-    try:
-        return graphs_mod.load_edge_list(path)
-    except OSError as exc:
-        raise _IoFailure(str(exc)) from exc
+# ---------------------------------------------------------------- commands
+#
+# Each handler takes the resolved config and the loaded graph (None for
+# gen and reproduce) and returns the artifact's data only: the generated
+# graph, a JSON payload, or a CSV's (header, rows, comment lines).  `run`
+# times it and writes the artifact.
 
-
-def _build_graph(params: dict, seed: int) -> graphs_mod.Graph:
+def _cmd_gen(config: ExperimentConfig, g: None) -> graphs_mod.Graph:
+    params, seed = config.params, config.master_seed
     model = params["model"]
     if model == "complete":
         return graphs_mod.gen_complete(params["n"])
@@ -156,37 +164,18 @@ def _build_graph(params: dict, seed: int) -> graphs_mod.Graph:
     raise ValueError(f"unknown model {model!r}")
 
 
-# ---------------------------------------------------------------- commands
-
-def _cmd_gen(config: ExperimentConfig) -> int:
-    g = _build_graph(config.params, config.master_seed)
-    try:
-        graphs_mod.save_edge_list(g, config.output_path)
-    except OSError as exc:
-        raise _IoFailure(str(exc)) from exc
-    sys.stdout.write(config.echo() + "\n")
-    return _EXIT_OK
-
-
-def _cmd_spectrum(config: ExperimentConfig) -> int:
-    t0 = time.perf_counter()
-    g = _load_graph(config.params["graph"])
+def _cmd_spectrum(config: ExperimentConfig, g: graphs_mod.Graph) -> dict:
     s = spectral_mod.spectrum_summary(g, tol=config.params["tol"])
     d = graphs_mod.degree_stats(g)
-    payload = {
+    return {
         "lambda1": s.lambda1, "kappa": s.kappa, "gap": s.gap,
         "method": s.method, "residual": s.residual,
         "degrees": {"delta": d.delta, "m": d.m, "d_avg": d.d_avg,
                     "d_tilde": d.d_tilde, "edge_count": d.edge_count},
     }
-    _write_json(config.output_path, config, "spectrum", payload,
-                time.perf_counter() - t0)
-    return _EXIT_OK
 
 
-def _cmd_dynamics(config: ExperimentConfig) -> int:
-    t0 = time.perf_counter()
-    g = _load_graph(config.params["graph"])
+def _cmd_dynamics(config: ExperimentConfig, g: graphs_mod.Graph) -> dict:
     pr = config.params
     pats = hopfield_mod.sample_patterns(
         pr["patterns"], g.n, np.random.SeedSequence(entropy=(config.master_seed, 1)))
@@ -211,13 +200,10 @@ def _cmd_dynamics(config: ExperimentConfig) -> int:
     }
     if pr["trace"]:
         payload["energy_trace"] = out.energy_trace.tolist()
-    _write_json(config.output_path, config, "dynamics", payload,
-                time.perf_counter() - t0)
-    return _EXIT_OK
+    return payload
 
 
-def _cmd_capacity(config: ExperimentConfig) -> int:
-    g = _load_graph(config.params["graph"])
+def _cmd_capacity(config: ExperimentConfig, g: graphs_mod.Graph) -> tuple:
     pr = config.params
     k_max = None if pr["kmax"] == "auto" else int(pr["kmax"])
     est = capacity_mod.capacity_search(
@@ -226,14 +212,10 @@ def _cmd_capacity(config: ExperimentConfig) -> int:
     header = ["M", "trials", "successes", "rate", "ci_lo", "ci_hi", "mean_steps"]
     rows = [(c.m, c.trials, c.successes, c.rate, c.ci_lo, c.ci_hi, c.mean_steps)
             for c in est.curve]
-    _write_csv(config.output_path, config, "capacity", header, rows,
-               extra_comments=[f"# m_hat={est.m_hat}", f"# k_max={est.k_max}"])
-    return _EXIT_OK
+    return header, rows, [f"# m_hat={est.m_hat}", f"# k_max={est.k_max}"]
 
 
-def _cmd_theory(config: ExperimentConfig) -> int:
-    t0 = time.perf_counter()
-    g = _load_graph(config.params["graph"])
+def _cmd_theory(config: ExperimentConfig, g: graphs_mod.Graph) -> dict:
     pr = config.params
     params = capacity_mod.TheoryParams(c1=pr["c1"], c2=pr["c2"],
                                        c_steps=pr["c_steps"])
@@ -253,7 +235,7 @@ def _cmd_theory(config: ExperimentConfig) -> int:
         pred_doc = {"n0": pred.n0, "diverged": pred.diverged, "counts": pred.counts}
     except ValueError as exc:
         pred_doc = {"error": str(exc)}
-    payload = {
+    return {
         "theoretical_capacity": cap,
         "capacity_feasible": cap > 0,
         "rho_zero": r0,
@@ -263,23 +245,17 @@ def _cmd_theory(config: ExperimentConfig) -> int:
         "h1": vars(spectral_mod.check_h1(s, d, pr["c1_h1"])),
         "h2": vars(spectral_mod.check_h2(s, g.n, pr["c_h2"])),
     }
-    _write_json(config.output_path, config, "theory", payload,
-                time.perf_counter() - t0)
-    return _EXIT_OK
 
 
-def _cmd_verify(config: ExperimentConfig) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify(config: ExperimentConfig, g: graphs_mod.Graph | None) -> dict:
     pr = config.params
-    check = pr["check"]
-    rng_seed = config.master_seed
+    check, seed = pr["check"], config.master_seed
+    if check in ("energy", "subgraph") and pr["trials"] < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    s = spectral_mod.spectrum_summary(g) if check in ("subgraph", "tails", "mgf") else None
     violations = 0
-    detail: dict = {}
-    if check != "degrees" and "graph" not in pr:
-        raise ValueError(f"--check {check} needs --graph")
     if check == "energy":
-        g = _load_graph(pr["graph"])
-        rng = np.random.default_rng(rng_seed)
         for _ in range(pr["trials"]):
             m_pat = int(rng.integers(1, 5))
             pats = hopfield_mod.sample_patterns(m_pat, g.n, rng)
@@ -293,36 +269,26 @@ def _cmd_verify(config: ExperimentConfig) -> int:
                 violations += 1
         detail = {"trials": pr["trials"]}
     elif check == "subgraph":
-        g = _load_graph(pr["graph"])
-        s = spectral_mod.spectrum_summary(g)
-        rng = np.random.default_rng(rng_seed)
         for _ in range(pr["trials"]):
             I = rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False)
             J = rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False)
-            rep = spectral_mod.subgraph_bounds(g, s, I, J)
-            if not rep.holds:
+            if not spectral_mod.subgraph_bounds(g, s, I, J).holds:
                 violations += 1
         detail = {"trials": pr["trials"]}
-    elif check == "tails":
-        g = _load_graph(pr["graph"])
-        s = spectral_mod.spectrum_summary(g)
-        root_l = math.sqrt(max(g.edge_count, 1))
-        rep = bounds_mod.quadratic_form_tail(
-            g, s, [0.5 * root_l, root_l, 2 * root_l, 4 * root_l],
-            pr["samples"], rng_seed)
-        violations = rep.violations
-        detail = {"method": rep.method, "samples": rep.samples}
-    elif check == "mgf":
-        g = _load_graph(pr["graph"])
-        s = spectral_mod.spectrum_summary(g)
-        lam = max(s.lambda1, 1e-9)
-        rep = bounds_mod.mgf_check(
-            g, s, np.linspace(0.0, 0.9 / lam, 10), pr["samples"], rng_seed)
+    elif check in ("tails", "mgf"):
+        if check == "tails":
+            root_l = math.sqrt(max(g.edge_count, 1))
+            rep = bounds_mod.quadratic_form_tail(
+                g, s, [0.5 * root_l, root_l, 2 * root_l, 4 * root_l],
+                pr["samples"], seed)
+        else:
+            lam = max(s.lambda1, 1e-9)
+            rep = bounds_mod.mgf_check(
+                g, s, np.linspace(0.0, 0.9 / lam, 10), pr["samples"], seed)
         violations = rep.violations
         detail = {"method": rep.method, "samples": rep.samples}
     elif check == "degrees":
-        rep = bounds_mod.degree_tail_experiment(pr["n"], pr["p"], pr["trials"],
-                                                rng_seed)
+        rep = bounds_mod.degree_tail_experiment(pr["n"], pr["p"], pr["trials"], seed)
         violations = rep.violations
         detail = {"epsilon": rep.epsilon, "in_validity_range": rep.in_validity_range,
                   "max_exceed_freq": rep.max_exceed_freq,
@@ -330,10 +296,7 @@ def _cmd_verify(config: ExperimentConfig) -> int:
                   "upper_bound": rep.upper_bound, "lower_bound": rep.lower_bound}
     else:
         raise ValueError(f"unknown check {check!r}")
-    payload = {"check": check, "violations": violations, "detail": detail}
-    _write_json(config.output_path, config, "verify", payload,
-                time.perf_counter() - t0)
-    return _EXIT_OK if violations == 0 else _EXIT_VIOLATIONS
+    return {"check": check, "violations": violations, "detail": detail}
 
 
 def reproduce_corollaries(suite: str, sizes: list[int], seed: int,
@@ -350,12 +313,18 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int,
     p >= c0 (log N)^2 / N at every size, powerlaw needs beta > 3 and
     d > c_pl sqrt(m_bar) (log N)^(3/2) (or m_bar > (log N)^4 with the
     weaker d > c_pl sqrt(m_bar) log N) and a feasible weight sequence,
-    max(w)^2 < sum(w).  Every size is checked before any search runs.
+    max(w)^2 < sum(w).  Every size must be an integer >= 3 that appears
+    once, and every size is checked before any search runs.
     """
     if len(sizes) < 3:
         raise ValueError("need a ladder of at least 3 sizes")
     if suite not in ("complete", "gnp", "powerlaw"):
         raise ValueError(f"unknown suite {suite!r}")
+    for i, n in enumerate(sizes):
+        if not isinstance(n, (int, np.integer)) or n < 3:
+            raise ValueError(f"ladder sizes must be integers >= 3, got {n}")
+        if n in sizes[:i]:
+            raise ValueError(f"ladder size N={n} appears more than once")
     if suite == "gnp":
         for n in sizes:
             floor = c0 * math.log(n) ** 2 / n
@@ -420,20 +389,13 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int,
     return {"rows": rows, "slope": slope, "ratio_spread": spread}
 
 
-def _cmd_reproduce(config: ExperimentConfig) -> int:
-    pr = config.params
-    result = reproduce_corollaries(
-        suite=pr["suite"], sizes=pr["sizes"], seed=config.master_seed,
-        rho=pr["rho"], threshold=pr["threshold"], trials=pr["trials"],
-        p=pr["p"], beta=pr["beta"], davg=pr["davg"], mbar=pr["mbar"],
-        c0=pr["c0"], c_pl=pr["c_pl"])
+def _cmd_reproduce(config: ExperimentConfig, g: None) -> tuple:
+    result = reproduce_corollaries(seed=config.master_seed, **config.params)
     header = ["n", "lambda1", "kappa", "h1_holds", "h2_holds", "predictor",
               "m_hat", "ratio", "mean_steps"]
     rows = [tuple(r[k] for k in header) for r in result["rows"]]
-    _write_csv(config.output_path, config, "reproduce", header, rows,
-               extra_comments=[f"# slope={_fmt(result['slope'])}",
-                               f"# ratio_spread={_fmt(result['ratio_spread'])}"])
-    return _EXIT_OK
+    return header, rows, [f"# slope={_fmt(result['slope'])}",
+                          f"# ratio_spread={_fmt(result['ratio_spread'])}"]
 
 
 _HANDLERS = {
@@ -448,20 +410,38 @@ _HANDLERS = {
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute a resolved config; returns the process exit status."""
+    """Execute a resolved config; returns the process exit status.
+
+    The one place that loads the command's graph, times the command
+    (elapsed_seconds covers the graph load and the computation) and
+    writes the artifact that ``config.format`` names.
+    """
     handler = _HANDLERS.get(config.command)
     if handler is None:
         sys.stderr.write(f"unknown command {config.command!r}\n")
         return _EXIT_USAGE
+    path = config.output_path
     try:
-        return handler(config)
-    except _IoFailure as exc:
+        t0 = time.perf_counter()
+        data = handler(config, _load_graph(config))
+        elapsed = time.perf_counter() - t0
+        if config.format == "edgelist":
+            graphs_mod.save_edge_list(data, path)
+            sys.stdout.write(config.echo() + "\n")
+        elif config.format == "csv":
+            header, rows, comments = data
+            _write_csv(path, config, config.command, header, rows, comments)
+        else:
+            _write_json(path, config, config.command, data, elapsed)
+    except OSError as exc:
         sys.stderr.write(f"i/o failure: {exc}\n")
         return _EXIT_IO
-    except (ValueError, graphs_mod.EdgeListParseError,
-            spectral_mod.SpectralSolverError) as exc:
+    except (ValueError, spectral_mod.SpectralSolverError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return _EXIT_USAGE
+    if config.command == "verify" and data["violations"]:
+        return _EXIT_VIOLATIONS
+    return _EXIT_OK
 
 
 def _default_seed() -> int:

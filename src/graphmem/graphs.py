@@ -233,13 +233,10 @@ def gen_complete(n: int) -> Graph:
     """Complete graph K_n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    indices = np.empty(n * (n - 1), dtype=np.int64)
-    row = np.arange(n, dtype=np.int64)
-    for i in range(n):
-        indices[i * (n - 1):(i + 1) * (n - 1)] = np.concatenate([row[:i], row[i + 1:]])
-    indptr = np.arange(0, n * (n - 1) + 1, n - 1, dtype=np.int64) if n > 1 \
-        else np.zeros(2, dtype=np.int64)
-    return Graph(indptr, indices)
+    # row i's targets are j + (j >= i) for j < n - 1: every vertex but i
+    j = np.arange(n - 1, dtype=np.int64)
+    indices = (j + (j >= np.arange(n, dtype=np.int64)[:, None])).ravel()
+    return Graph(np.arange(n + 1, dtype=np.int64) * (n - 1), indices)
 
 
 def gen_erdos_renyi(n: int, p: float, seed) -> Graph:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,54 @@ import pytest
 from graphmem import cli, graphs
 
 SRC = str(Path(graphs.__file__).resolve().parents[1])
+GOLDEN = Path(__file__).parent / "golden"
+
+# One small run of every command that writes an artifact.  Every config
+# echo holds the --graph path, so the runs use paths relative to the
+# directory they run in.
+ARTIFACT_RUNS = [
+    ["gen", "--model", "complete", "--n", "6", "--out", "k6.txt"],
+    ["gen", "--model", "gnp", "--n", "40", "--p", "0.25", "--seed", "4",
+     "--out", "g.txt"],
+    ["gen", "--model", "chunglu", "--n", "60", "--davg", "6", "--mbar", "12",
+     "--seed", "2", "--out", "cl.txt"],
+    ["gen", "--model", "twoclique", "--n", "12", "--msmall", "5", "--bridged",
+     "--out", "tc.txt"],
+    ["spectrum", "--graph", "g.txt", "--out", "spectrum.json"],
+    ["dynamics", "--graph", "g.txt", "--patterns", "2", "--start", "corrupt:0.1",
+     "--kmax", "50", "--trace", "--seed", "7", "--out", "dynamics.json"],
+    ["dynamics", "--graph", "g.txt", "--patterns", "3", "--mode", "sequential",
+     "--seed", "7", "--out", "dynamics_seq.json"],
+    ["capacity", "--graph", "g.txt", "--trials", "30", "--kmax", "10",
+     "--threshold", "0.9", "--seed", "11", "--out", "capacity.csv"],
+    ["theory", "--graph", "g.txt", "--m", "3", "--out", "theory.json"],
+    ["verify", "--check", "energy", "--graph", "g.txt", "--trials", "20",
+     "--seed", "3", "--out", "energy.json"],
+    ["reproduce", "--suite", "complete", "--sizes", "16,24,32", "--trials", "20",
+     "--threshold", "0.9", "--seed", "5", "--out", "reproduce.csv"],
+]
+
+
+def run_artifacts(workdir):
+    """Run ARTIFACT_RUNS in workdir.  Returns every artifact's text, less
+    its elapsed_seconds line, by file name, and the runs' joint stdout
+    (gen's config echoes) as "stdout.txt"."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out):
+            for argv in ARTIFACT_RUNS:
+                assert cli.main(argv) == 0, argv
+    finally:
+        os.chdir(cwd)
+    texts = {"stdout.txt": out.getvalue()}
+    for argv in ARTIFACT_RUNS:
+        name = argv[argv.index("--out") + 1]
+        lines = (Path(workdir) / name).read_text().splitlines(keepends=True)
+        texts[name] = "".join(ln for ln in lines
+                              if not ln.startswith('  "elapsed_seconds": '))
+    return texts
 
 
 def run_cli(*args):
@@ -22,6 +72,15 @@ def gen_graph_file(tmp_path, name="g.txt", n=40, p=0.25, seed=4):
                    "--seed", str(seed), "--out", str(path))
     assert code == 0
     return path
+
+
+def test_artifacts_match_recorded_texts(tmp_path):
+    # tests/golden holds the texts these runs wrote before the command
+    # runner took over loading, timing and writing
+    texts = run_artifacts(tmp_path)
+    assert sorted(texts) == sorted(p.name for p in GOLDEN.iterdir())
+    for name, text in texts.items():
+        assert text == (GOLDEN / name).read_text(), name
 
 
 def test_gen_writes_loadable_graph(tmp_path):
@@ -191,6 +250,17 @@ def test_verify_graph_checks_need_graph(tmp_path, capsys, check):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("check", ["energy", "subgraph"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_trial_checks_reject_no_trials(tmp_path, capsys, check, trials):
+    gpath = gen_graph_file(tmp_path, n=20, p=0.4)
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--check", check, "--graph", str(gpath),
+                   "--trials", trials, "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: trials must be >= 1\n"
+    assert not out.exists()
+
+
 def test_verify_tails_on_edgeless_graph_is_silent(tmp_path):
     # the analytic tail is 0 there, not a division by zero
     gpath = tmp_path / "e.txt"
@@ -270,6 +340,24 @@ def test_powerlaw_weights_checked_before_any_search(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "max weight squared" in err and "N=512" in err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("sizes, bad", [
+    ("64,128,-5", "got -5"), ("2,64,128", "got 2"), ("64,64,64", "N=64 appears"),
+    ("64,128,96,128", "N=128 appears")])
+def test_reproduce_checks_ladder_sizes_before_any_search(tmp_path, monkeypatch,
+                                                        capsys, sizes, bad):
+    def no_search(*args, **kwargs):
+        raise AssertionError("capacity_search ran before every size was checked")
+
+    monkeypatch.setattr(cli.capacity_mod, "capacity_search", no_search)
+    out = tmp_path / "r.csv"
+    assert run_cli("reproduce", "--suite", "complete", "--sizes", sizes,
+                   "--trials", "5", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ladder size") and bad in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_complete_ladder_pins_reference_m_hat(tmp_path):

@@ -41,6 +41,27 @@ def test_gen_complete_rejects_bad_n():
         graphs.gen_complete(0)
 
 
+def loop_complete_arrays(n):
+    # oracle: K_n's CSR arrays built one row at a time
+    indices = np.empty(n * (n - 1), dtype=np.int64)
+    row = np.arange(n, dtype=np.int64)
+    for i in range(n):
+        indices[i * (n - 1):(i + 1) * (n - 1)] = np.concatenate([row[:i], row[i + 1:]])
+    indptr = np.arange(0, n * (n - 1) + 1, n - 1, dtype=np.int64) if n > 1 \
+        else np.zeros(2, dtype=np.int64)
+    return indptr, indices
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 257])
+def test_gen_complete_matches_row_loop(n):
+    g = graphs.gen_complete(n)
+    indptr, indices = loop_complete_arrays(n)
+    for got, want in ((g.indptr, indptr), (g.indices, indices)):
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_gnp_extreme_p():
     g0 = graphs.gen_erdos_renyi(20, 0.0, 1)
     assert g0.edge_count == 0
