@@ -444,6 +444,30 @@ def run(config: ExperimentConfig) -> int:
     return _EXIT_OK
 
 
+# the flags each verify check reads; it rejects the others
+_VERIFY_READS = {
+    "energy": ("graph", "trials"),
+    "subgraph": ("graph", "trials"),
+    "tails": ("graph", "samples"),
+    "mgf": ("graph", "samples"),
+    "degrees": ("n", "p", "trials"),
+}
+_VERIFY_DEFAULTS = {"trials": 200, "samples": 20000, "n": 500, "p": 0.1}
+
+
+def _reject_unread_flags(params: dict) -> None:
+    """Raise ValueError naming the first flag given to verify that its
+    check does not read.  A graph check given no --graph is left to run,
+    whose error says that it needs one."""
+    check = params["check"]
+    reads = _VERIFY_READS[check]
+    if "graph" in reads and "graph" not in params:
+        return
+    for flag in ("graph", *_VERIFY_DEFAULTS):
+        if flag in params and flag not in reads:
+            raise ValueError(f"--check {check} does not read --{flag}")
+
+
 def _default_seed() -> int:
     env = os.environ.get("GRAPHMEM_SEED")
     return int(env) if env else 0
@@ -515,11 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
     v = sp.add_parser("verify", help="empirically check an invariant family")
     v.add_argument("--check", required=True,
                    choices=["energy", "subgraph", "tails", "mgf", "degrees"])
-    v.add_argument("--graph")
-    v.add_argument("--trials", type=int, default=200)
-    v.add_argument("--samples", type=int, default=20000)
-    v.add_argument("--n", type=int, default=500)
-    v.add_argument("--p", type=float, default=0.1)
+    # no parser defaults, so that config_from_args sees which flags were
+    # given; it fills in _VERIFY_DEFAULTS
+    v.add_argument("--graph", help="every check but degrees")
+    for flag, kind in (("trials", int), ("samples", int), ("n", int), ("p", float)):
+        checks = ", ".join(c for c, reads in _VERIFY_READS.items() if flag in reads)
+        v.add_argument(f"--{flag}", type=kind,
+                       help=f"{checks} (default {_VERIFY_DEFAULTS[flag]})")
     _add_common(v)
 
     r = sp.add_parser("reproduce", help="scaling-law suite across a size ladder")
@@ -543,6 +569,9 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
     seed = ns.seed if ns.seed is not None else _default_seed()
     skip = {"command", "seed", "out"}
     params = {k: v for k, v in vars(ns).items() if k not in skip and v is not None}
+    if ns.command == "verify":
+        _reject_unread_flags(params)
+        params = {**_VERIFY_DEFAULTS, **params}
     if "sizes" in params and isinstance(params["sizes"], str):
         try:
             params["sizes"] = [int(x) for x in params["sizes"].split(",") if x]

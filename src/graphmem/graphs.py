@@ -16,8 +16,8 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-# save_edge_list formats this many edges per write
-_WRITE_CHUNK = 1 << 16
+# save_edge_list formats the edges among this many arcs per write
+_WRITE_CHUNK = 1 << 17
 # load_edge_list counts lines in reads of this many characters
 _READ_CHUNK = 1 << 16
 
@@ -395,7 +395,13 @@ def adjacency_matrix(g: Graph):
 
 
 def validate_graph(g: Graph) -> None:
-    """Raise ValueError unless g is a well-formed undirected simple graph."""
+    """Raise ValueError unless g is a well-formed undirected simple graph.
+
+    Symmetry costs one sort: once the indices are in range and every row
+    strictly increases, the arc keys src * n + dst are already in
+    ascending order, so only the reversed keys dst * n + src are sorted
+    before the two are compared.
+    """
     if g.indptr.size == 0 or g.indptr[0] != 0 or g.indptr[-1] != g.indices.size:
         raise ValueError("indptr inconsistent with indices")
     if g.indices.size and (g.indices.min() < 0 or g.indices.max() >= g.n):
@@ -403,28 +409,70 @@ def validate_graph(g: Graph) -> None:
     src, dst = edge_endpoints(g)
     if np.any(src == dst):
         raise ValueError("self-loop present")
-    # consecutive arcs of one source must have increasing targets
-    bad = np.flatnonzero((np.diff(dst) <= 0) & (src[1:] == src[:-1]))
+    # with every target below n, the key src * n + dst orders the arcs by
+    # source, then target: each row strictly increases exactly when the
+    # keys do.  An int64 n keeps the keys in int64 whatever the index dtype.
+    n = np.int64(g.n)
+    fwd = src * n + dst
+    bad = np.flatnonzero(fwd[1:] <= fwd[:-1])
     if bad.size:
         raise ValueError(f"neighbor list of {src[bad[0]]} not strictly increasing")
     # symmetry: the set of (src, dst) arcs must equal its transpose
-    fwd = src * g.n + dst
-    bwd = dst * g.n + src
-    if not np.array_equal(np.sort(fwd), np.sort(bwd)):
+    bwd = dst * n + src
+    bwd.sort()
+    if not np.array_equal(fwd, bwd):
         raise ValueError("adjacency not symmetric")
 
 
 def save_edge_list(g: Graph, path) -> None:
     """Write the text edge-list format: header line "n edge_count", then one
-    "i j" line per undirected edge with i < j, 0-based, ascending."""
-    src, dst = edge_endpoints(g)
-    keep = src < dst
-    pairs = np.column_stack([src[keep], dst[keep]])
-    with open(path, "w") as fh:
-        fh.write(f"{g.n} {g.edge_count}\n")
-        for k in range(0, len(pairs), _WRITE_CHUNK):
-            chunk = pairs[k:k + _WRITE_CHUNK]
-            fh.write(("{} {}\n" * len(chunk)).format(*chunk.ravel().tolist()))
+    "i j" line per undirected edge with i < j, 0-based, ascending, in plain
+    decimal with "\n" line ends.
+
+    The arcs are read in blocks of _WRITE_CHUNK, and each block's edges
+    i -> j, i < j, are formatted into one byte buffer by _edge_lines, so
+    the writer's scratch memory is bounded by the block, not the graph.
+    """
+    with open(path, "wb") as fh:
+        fh.write(f"{g.n} {g.edge_count}\n".encode())
+        for a in range(0, g.indices.size, _WRITE_CHUNK):
+            b = min(a + _WRITE_CHUNK, g.indices.size)
+            dst = g.indices[a:b]
+            # the rows r0 .. r1 the block meets, and their arcs within it
+            r0, r1 = np.searchsorted(g.indptr, [a, b - 1], side="right") - 1
+            cuts = np.clip(g.indptr[r0:r1 + 2], a, b)
+            src = np.repeat(np.arange(r0, r1 + 1), np.diff(cuts))
+            keep = src < dst
+            fh.write(_edge_lines(np.column_stack([src[keep], dst[keep]])))
+
+
+def _edge_lines(pairs: np.ndarray) -> np.ndarray:
+    """The ASCII lines "i j\n" of the rows (i, j) of an array of
+    non-negative integers, as one uint8 array.
+
+    Each value is first written as a fixed-width field of digits, taken by
+    repeated // 10 from the right, then its leading zeros are masked out:
+    a column is kept when it lies within the value's digit count, that is
+    while the value left to divide is non-zero, and the units column
+    always.
+    """
+    top = pairs.max(initial=0)
+    width = len(str(int(top)))
+    # the divisions are the cost, and they run faster on a narrower type
+    x = pairs.astype(np.min_scalar_type(top))
+    # row r of text is i's field and " ", then j's field and "\n"
+    text = np.empty((len(pairs), 2, width + 1), np.uint8)
+    keep = np.empty(text.shape, bool)
+    text[:, 0, width] = ord(" ")
+    text[:, 1, width] = ord("\n")
+    keep[:, :, width] = True
+    for c in range(width - 1, -1, -1):
+        keep[:, :, c] = x > 0
+        q = x // 10
+        text[:, :, c] = x - 10 * q + ord("0")
+        x = q
+    keep[:, :, width - 1] = True
+    return text[keep]
 
 
 def load_edge_list(path) -> Graph:

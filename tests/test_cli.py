@@ -250,6 +250,45 @@ def test_verify_graph_checks_need_graph(tmp_path, capsys, check):
     assert not out.exists()
 
 
+# every flag a verify check does not read: energy and subgraph read
+# --graph and --trials, tails and mgf --graph and --samples, degrees --n,
+# --p and --trials.  A value equal to the default is still rejected.
+UNREAD_FLAGS = [
+    ("degrees", "--graph", "nosuch.txt"),
+    *[(check, flag, value) for check in ("energy", "subgraph", "tails", "mgf")
+      for flag, value in (("--n", "100"), ("--p", "0.1"))],
+    ("tails", "--trials", "200"),
+    ("mgf", "--trials", "5"),
+    ("energy", "--samples", "20000"),
+    ("subgraph", "--samples", "100"),
+    ("degrees", "--samples", "100"),
+]
+
+
+@pytest.mark.parametrize("check,flag,value", UNREAD_FLAGS)
+def test_verify_rejects_a_flag_its_check_does_not_read(tmp_path, capsys, check,
+                                                       flag, value):
+    out = tmp_path / "v.json"
+    argv = ["verify", "--check", check, flag, value, "--out", str(out)]
+    if check != "degrees":
+        argv += ["--graph", str(gen_graph_file(tmp_path, n=20, p=0.4))]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: --check {check} does not read {flag}\n"
+    assert not out.exists()
+
+
+def test_verify_echo_holds_every_default():
+    # the echo lists the flags a check does not read, at their defaults
+    def params(*argv):
+        ns = cli.build_parser().parse_args(["verify", "--check", *argv])
+        return cli.config_from_args(ns).params
+
+    defaults = {"n": 500, "p": 0.1, "samples": 20000, "trials": 200}
+    assert params("degrees") == {"check": "degrees", **defaults}
+    assert params("tails", "--graph", "g.txt", "--samples", "10") == \
+        {"check": "tails", "graph": "g.txt", **defaults, "samples": 10}
+
+
 @pytest.mark.parametrize("check", ["energy", "subgraph"])
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_trial_checks_reject_no_trials(tmp_path, capsys, check, trials):

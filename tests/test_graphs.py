@@ -723,3 +723,82 @@ def test_validate_graph_rejections(g, message):
     with pytest.raises(ValueError, match=message):
         graphs.validate_graph(g)
     graphs.validate_graph(raw_graph(K4))
+
+
+# edges at the labels where the decimal width grows
+WIDTH_EDGES = [(0, 1), (8, 9), (9, 10), (0, 10), (10, 11), (9, 99), (99, 100),
+               (10, 100), (100, 101), (1, 99999), (99999, 100000), (9, 100000),
+               (100000, 100001)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 11, 100, 101, 100_001])
+def test_save_edge_list_bytes_match_per_line_reference(tmp_path, monkeypatch, n):
+    edges = sorted((i, j) for i, j in WIDTH_EDGES if j < n)
+    g = pairs_graph(n, edges)
+    want = (f"{n} {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges)).encode()
+    path = tmp_path / "g.txt"
+    for chunk in (1, 7, graphs._WRITE_CHUNK):
+        monkeypatch.setattr(graphs, "_WRITE_CHUNK", chunk)
+        graphs.save_edge_list(g, path)
+        assert path.read_bytes() == want, chunk
+
+
+def rewired(g, *moves):
+    """g with each arc v -> old of the moves (v, old, new) pointed at new
+    instead, or dropped where new is None; every row stays sorted."""
+    rows = [g.neighbors(v).tolist() for v in range(g.n)]
+    for v, old, new in moves:
+        rows[v].remove(old)
+        if new is not None:
+            rows[v] = sorted(rows[v] + [new])
+    return raw_graph(rows)
+
+
+def unreached(g, v):
+    """The vertices other than v that v has no arc to."""
+    return np.setdiff1d(np.arange(g.n), np.append(g.neighbors(v), v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_graph(), st.integers(0, 2 ** 31), st.integers(0, 2 ** 31))
+@example(graphs.gen_two_cliques(3, 9, bridged=True), 0, 0)
+@example(graphs.gen_erdos_renyi(30, 0.3, 1), 2 ** 31, 5)
+@example(pairs_graph(4, [(0, 1), (2, 3)]), 0, 2)
+def test_validate_graph_finds_one_broken_reverse_arc(g, a, b):
+    graphs.validate_graph(g)
+    if not g.edge_count:
+        return
+    src, dst = graphs.edge_endpoints(g)
+    i, j = int(src[a % src.size]), int(dst[a % src.size])
+    broken = [rewired(g, (j, i, None))]
+    # retarget j -> i to a vertex j does not reach yet, so no row repeats
+    free = unreached(g, j)
+    if free.size:
+        broken.append(rewired(g, (j, i, int(free[b % free.size]))))
+    # swap the targets of i -> j and k -> l: every degree stays the same
+    k, l = int(src[b % src.size]), int(dst[b % src.size])
+    if k != i and l in unreached(g, i) and j in unreached(g, k):
+        broken.append(rewired(g, (i, j, l), (k, l, j)))
+    for h in broken:
+        with pytest.raises(ValueError, match="not symmetric"):
+            graphs.validate_graph(h)
+
+
+def test_keys_past_int32_round_trip_and_stay_exact(tmp_path):
+    # n^2 > 2^31: a key src * n + dst computed in 32 bits would wrap
+    n = 70_000
+    g = pairs_graph(n, [(0, 1), (1, n - 1), (12_345, n - 2), (n - 2, n - 1)])
+    assert g.n ** 2 > 2 ** 31
+    graphs.validate_graph(g)
+    path = tmp_path / "g.txt"
+    graphs.save_edge_list(g, path)
+    back = graphs.load_edge_list(path)
+    graphs.validate_graph(back)
+    assert back == g
+    asym = rewired(g, (n - 1, n - 2, None))
+    with pytest.raises(ValueError, match="not symmetric"):
+        graphs.validate_graph(asym)
+    # the same graphs with int32 indices: the keys must still be int64
+    graphs.validate_graph(graphs.Graph(g.indptr, g.indices.astype(np.int32)))
+    with pytest.raises(ValueError, match="not symmetric"):
+        graphs.validate_graph(graphs.Graph(asym.indptr, asym.indices.astype(np.int32)))
