@@ -316,34 +316,42 @@ def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
     Trial t draws from rng = default_rng(SeedSequence(entropy=(seed, t))):
     mu = rng.integers(M), then the floor(rho*n) flipped vertices
     rng.choice(n, k, replace=False).  The generators' states come from one
-    seeding pass over all trials; all starts then run together as one
-    block of the parallel dynamics.
+    seeding pass over all trials.  A trial can succeed only if its target
+    xi^mu is a fixed point of T, which the engine reads once from the
+    exact product J Xi^T; a trial whose target is not is a failure
+    without dynamics and skips its choice draw (its generator is its
+    own).  The other trials run together as one block of the parallel
+    dynamics, each retiring as soon as it reaches its target (run_block's
+    mus).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0.0 <= rho < 0.5:
         raise ValueError("rho must lie in [0, 1/2)")
     n, k = g.n, _flip_count(rho, g.n)
+    eng = engine if engine is not None else FieldEngine(g, p)
+    stable = eng._targets[0]
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
-    mus = np.empty(trials, dtype=np.int64)
-    flips = np.empty((trials, k), dtype=np.int64)
-    for t, state in enumerate(_trial_states(seed, trials)):
+    mus, flips = [], []
+    for state in _trial_states(seed, trials):
         bitgen.state = state
-        mus[t] = rng.integers(p.m_patterns)
-        if k:
-            flips[t] = rng.choice(n, k, replace=False)
-    targets = p.bits[mus]
-    starts = targets.T.copy()
-    # flat index of (vertex, trial) in the C-ordered (n, trials) starts
-    flips *= trials
-    flips += np.arange(trials)[:, None]
+        mu = rng.integers(p.m_patterns)
+        if stable[mu]:
+            mus.append(mu)
+            if k:
+                flips.append(rng.choice(n, k, replace=False))
+    mus = np.array(mus, dtype=np.int64)
+    flips = np.array(flips, dtype=np.int64).reshape(mus.size, k)
+    starts = np.ascontiguousarray(p.bits.T[:, mus])
+    # flat index of (vertex, column) in the C-ordered (n, runs) starts
+    flips *= mus.size
+    flips += np.arange(mus.size)[:, None]
     flat = starts.reshape(-1)
     flat[flips] = -flat[flips]
-    eng = engine if engine is not None else FieldEngine(g, p)
-    out = run_block(eng, starts, k_max)
+    out = run_block(eng, starts, k_max, mus)
     recovered = ((out.terminal == "fixed_point")
-                 & (out.final == targets.T).all(axis=0))
+                 & (out.final == p.bits.T[:, mus]).all(axis=0))
     succ = int(recovered.sum())
     step_sum = int(out.steps[recovered].sum())
     lo, hi = wilson_interval(succ, trials)
@@ -356,15 +364,20 @@ def _spot_trial(g: Graph, p: PatternSet, rho: float, k_max: int,
                 engine: FieldEngine | None) -> bool:
     """Structured corruption: flip the floor(rho*n) lowest-degree vertices
     (ties by index) of pattern 0.  On the two-clique graph this is the
-    corruption that retrieval provably cannot undo."""
+    corruption that retrieval provably cannot undo.  Success needs pattern
+    0 to be a fixed point of T, so when the engine's exact product says it
+    is not, the trial fails without dynamics."""
     k = _flip_count(rho, g.n)
     if k == 0:
         return True
+    eng = engine if engine is not None else FieldEngine(g, p)
+    if not eng._targets[0][0]:
+        return False
     order = np.argsort(g.degrees, kind="stable")
     target = p.pattern(0)
     start = np.array(target, dtype=np.int8)
     start[order[:k]] = -start[order[:k]]
-    out = run_dynamics(g, p, start, mode="parallel", k_max=k_max, engine=engine)
+    out = run_dynamics(g, p, start, mode="parallel", k_max=k_max, engine=eng)
     return out.terminal == "fixed_point" and np.array_equal(out.final, target)
 
 
@@ -377,7 +390,10 @@ def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
     the threshold is re-measured once with 4x trials.  Each M must also
     pass the structured spot trial; a failed spot check counts as a fail
     regardless of the uniform rate.  The couplings for each M are built
-    once and shared by its estimates and its spot trial.
+    once and shared by its estimates and its spot trial, and so is the
+    engine's cached product J Xi^T: a trial (the spot trial included)
+    whose target pattern is not a fixed point of T fails without
+    dynamics, and the others retire on reaching their target.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")

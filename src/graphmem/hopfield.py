@@ -216,6 +216,7 @@ class FieldEngine:
         finally:
             for f in futures:
                 f.result()
+        del x       # free the input copy before the widened output exists
         return out.astype(np.int32, copy=False)
 
     @cached_property
@@ -227,6 +228,16 @@ class FieldEngine:
         c = self.fields(np.ones(self.g.n, dtype=np.int8))[lv.order]
         dtype = self._j.data.dtype
         return self._j.data[lv.arcs], (-(-c // 2)).astype(dtype)
+
+    @cached_property
+    def _targets(self) -> tuple:
+        """For each stored pattern xi^mu, whether it is a fixed point of T
+        and its energy H_T, both read off the exact (n, M) product
+        H = J Xi^T; computed on first use, so engines that run no trials
+        pay nothing, and H itself is not kept."""
+        h = self.fields(self.p.bits.T)
+        stable = (_sign(h) == self.p.bits.T).all(axis=0)
+        return stable, -np.abs(h, out=h).sum(axis=0) / self.g.n
 
     def sweep(self, s: np.ndarray) -> np.ndarray:
         """One sequential sweep of the (n,) state s: vertices update in
@@ -304,13 +315,21 @@ class BlockOutcome:
     energy: np.ndarray      # (max steps, B) float64
 
 
-def run_block(engine: FieldEngine, states, k_max: int) -> BlockOutcome:
+def run_block(engine: FieldEngine, states, k_max: int, mus=None) -> BlockOutcome:
     """Iterate the parallel map T on every column of the (n, B) block
     states at once.  A column retires on a fixed point (checked first), a
     2-cycle, or the step cap, exactly as run_dynamics would end it; the
-    live columns share one field evaluation per step."""
+    live columns share one field evaluation per step.
+
+    mus, if given, holds each column's target pattern index.  A column
+    whose state after k < k_max steps equals its target, where the target
+    is a fixed point of T (engine._targets, from the exact product
+    J Xi^T), retires without the confirming field evaluation: as
+    fixed_point after k + 1 steps, in the target, with the target's H_T
+    as energy row k.  That is the outcome application k + 1 would give,
+    so the result is the same as without mus; only the work shrinks."""
     n = engine.g.n
-    s = np.array(states, dtype=np.int8)
+    s = np.asarray(states, dtype=np.int8)
     if s.ndim != 2 or s.shape[0] != n:
         raise ValueError("states must be an (n, B) block")
     if k_max < 1:
@@ -318,18 +337,37 @@ def run_block(engine: FieldEngine, states, k_max: int) -> BlockOutcome:
     b = s.shape[1]
     terminal = np.full(b, "step_cap", dtype="U11")
     steps = np.full(b, k_max, dtype=np.int64)
-    final = s.copy()
+    final = np.empty((n, b), dtype=np.int8)
     energy = []
     live = np.arange(b)
+    if mus is not None:
+        mus = np.asarray(mus, dtype=np.int64)
+        stable, target_energy = engine._targets
     prev = None
     for k in range(1, k_max + 1):
         if not live.size:
             break
+        row = np.full(b, np.nan)
+        energy.append(row)
+        if mus is not None:
+            # application k would find these columns fixed at their target
+            at = stable[mus[live]] & (s == engine.p.bits[mus[live]].T).all(axis=0)
+            if at.any():
+                idx = live[at]
+                terminal[idx] = "fixed_point"
+                steps[idx] = k
+                final[:, idx] = s[:, at]
+                row[idx] = target_energy[mus[idx]]
+                keep = ~at
+                live, s = live[keep], s[:, keep]
+                if prev is not None:
+                    prev = prev[:, keep]
+                if not live.size:
+                    break
         h = engine.fields(s)
         nxt = _sign(h)
-        row = np.full(b, np.nan)
         row[live] = -np.abs(h, out=h).sum(axis=0) / n
-        energy.append(row)
+        del h       # or it would live on through the next step's product
         fixed = (nxt == s).all(axis=0)
         done = fixed if prev is None else fixed | (nxt == prev).all(axis=0)
         if done.any():

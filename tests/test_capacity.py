@@ -228,26 +228,44 @@ def test_recovery_rate_deterministic_and_bounded():
     assert a.mean_steps <= 4.0
 
 
+def dense_fixed_points(g, p, rows=256):
+    """Which patterns are fixed points of T, from the dense int64 fields
+    (A o Xi^T Xi) Xi^T, taken a block of rows at a time."""
+    a = graphs.adjacency_matrix(g)
+    xi = p.bits.astype(np.int64)
+    h = np.empty((g.n, p.m_patterns), dtype=np.int64)
+    for lo in range(0, g.n, rows):
+        w = a[lo:lo + rows].toarray().astype(np.int64) * (xi[:, lo:lo + rows].T @ xi)
+        h[lo:lo + rows] = w @ xi.T
+    return (np.where(h >= 0, 1, -1) == xi.T).all(axis=0)
+
+
 def test_recovery_rate_matches_per_trial_loop():
     # the block run must reproduce, trial by trial, basin_trial on the
     # pattern and corruption drawn from SeedSequence((seed, t)); an
     # overloaded memory and a tight cap mix in 2-cycles and step caps.
     # Seeds of 2 and 3 words, rho = 0 (no flips) and k >= n/4 ride along.
+    # The CSR graphs G(40, 0.3) and G(40, 0.5) store some patterns that are
+    # fixed points of T and some that are not, so their block runs only
+    # part of the trials.
     cases = ((graphs.gen_complete(24), 2, 0.1, 8, 11),
              (graphs.gen_complete(40), 12, 0.2, 3, 11),
              (graphs.gen_complete(30), 25, 0.3, 2, 11),
              (graphs.gen_erdos_renyi(40, 0.3, 2), 3, 0.2, 4, 11),
+             (graphs.gen_erdos_renyi(40, 0.5, 3), 6, 0.1, 6, 5),
              (graphs.gen_complete(32), 4, 0.25, 5, 2**40 + 3),
              (graphs.gen_complete(36), 9, 0.0, 6, 2**64 + 9),
              (graphs.gen_erdos_renyi(48, 0.4, 5), 2, 0.0, 6, 2**32))
+    mixed = 0
     for g, m, rho, k_max, seed in cases:
         n = g.n
         p = hopfield.sample_patterns(m, n, 3)
         est = capacity.recovery_rate(g, p, rho, k_max, trials=30, seed=seed)
-        runs = []
+        runs, drawn = [], []
         for t in range(30):
             rng = np.random.default_rng(trial_seed(seed, t))
             mu = int(rng.integers(p.m_patterns))
+            drawn.append(mu)
             runs.append(basin_trial(g, p, mu, rho, k_max, rng))
         wins = [r for r in runs if r.recovered]
         assert est.successes == len(wins)
@@ -255,32 +273,49 @@ def test_recovery_rate_matches_per_trial_loop():
             assert est.mean_steps == sum(r.steps for r in wins) / len(wins)
         else:
             assert math.isnan(est.mean_steps)
+        stable = dense_fixed_points(g, p)[drawn]
+        if not g.is_complete and 0 < stable.sum() < stable.size:
+            mixed += 1
+    assert mixed == 2
 
 
 def test_recovery_rate_starts_match_per_trial_draws(monkeypatch):
-    # the block's starts, column by column, are exactly the per-trial
-    # draws: integers(M), then choice(n, k, replace=False) of that pattern
+    # the block's columns are exactly the per-trial draws of the trials
+    # whose target is a fixed point of T: integers(M), then choice(n, k,
+    # replace=False) of that pattern.  The other trials, those whose target
+    # fails the dense fixed-point test, draw integers(M) only and never run.
     seen = []
     run_block = capacity.run_block
 
-    def spy(engine, starts, k_max):
-        seen.append(np.array(starts))
-        return run_block(engine, starts, k_max)
+    def spy(engine, starts, k_max, mus):
+        seen.append((np.array(starts), np.array(mus)))
+        return run_block(engine, starts, k_max, mus)
 
     monkeypatch.setattr(capacity, "run_block", spy)
     # above n = 10000 choice shuffles a tail instead of running Floyd's
     # algorithm
-    k40, big = graphs.gen_complete(40), graphs.gen_erdos_renyi(12000, 5e-4, 1)
-    for g, rho, seed, trials in ((k40, 0.1, 7, 25), (k40, 0.45, 2**96 + 1, 25),
-                                 (k40, 0.0, 0, 25), (big, 0.02, 3, 4)):
-        p = hopfield.sample_patterns(6, g.n, 1)
+    k40, big = graphs.gen_complete(40), graphs.gen_erdos_renyi(12000, 6e-3, 1)
+    skipped = ran = 0
+    for g, m, rho, seed, trials in ((k40, 6, 0.1, 7, 25), (k40, 6, 0.45, 2**96 + 1, 25),
+                                    (k40, 6, 0.0, 0, 25), (big, 5, 0.02, 3, 6)):
+        p = hopfield.sample_patterns(m, g.n, 1)
+        stable = dense_fixed_points(g, p)
+        assert 0 < stable.sum() < m
         seen.clear()
         capacity.recovery_rate(g, p, rho, 1, trials=trials, seed=seed)
-        want = []
+        want, want_mus = [], []
         for t in range(trials):
             rng = np.random.default_rng(trial_seed(seed, t))
-            want.append(hopfield.corrupt(p.pattern(rng.integers(6)), rho, rng))
-        assert np.array_equal(seen[0], np.stack(want, axis=1))
+            mu = int(rng.integers(m))
+            if stable[mu]:
+                want_mus.append(mu)
+                want.append(hopfield.corrupt(p.pattern(mu), rho, rng))
+        (starts, mus), = seen
+        assert mus.tolist() == want_mus
+        assert np.array_equal(starts, np.stack(want, axis=1))
+        skipped += trials - len(want)
+        ran += len(want)
+    assert skipped and ran
 
 
 @settings(max_examples=200, deadline=None)

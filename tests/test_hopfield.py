@@ -594,9 +594,9 @@ def brute_parallel(g, p, s0, k_max):
 
 
 @st.composite
-def block_cases(draw):
+def small_memories(draw):
     """A small graph from one of the generators, patterns up to well past
-    capacity, a block of starts, and a step cap small enough to bind."""
+    capacity, and a seed for whatever else the case draws."""
     kind = draw(st.sampled_from(["complete", "gnp", "chunglu", "twoclique"]))
     n = draw(st.integers(4, 24))
     seed = draw(st.integers(0, 2 ** 31))
@@ -611,7 +611,15 @@ def block_cases(draw):
         g = graphs.gen_two_cliques(draw(st.integers(2, n - 2)), n,
                                    bridged=draw(st.booleans()))
     m = draw(st.integers(1, 2 * n))
-    p = hopfield.sample_patterns(m, n, seed + 1)
+    return g, hopfield.sample_patterns(m, n, seed + 1), seed
+
+
+@st.composite
+def block_cases(draw):
+    """small_memories with a block of starts and a step cap small enough
+    to bind."""
+    g, p, seed = draw(small_memories())
+    n = g.n
     b = draw(st.integers(1, 6))
     rng = np.random.default_rng(seed + 2)
     starts = np.stack([random_state(rng, n) for _ in range(b)], axis=1)
@@ -654,3 +662,73 @@ def test_run_block_reaches_every_terminal():
         hopfield.run_block(eng, starts[:1], k_max=5)
     with pytest.raises(ValueError):
         hopfield.run_block(eng, starts, k_max=0)
+
+
+def same_outcome(a, b):
+    return (np.array_equal(a.terminal, b.terminal) and np.array_equal(a.steps, b.steps)
+            and np.array_equal(a.final, b.final)
+            and a.energy.shape == b.energy.shape
+            and np.array_equal(a.energy, b.energy, equal_nan=True))
+
+
+@st.composite
+def targeted_cases(draw):
+    """small_memories with a target pattern per column, each start its
+    target itself, its target with a few flips, or uniform, and a step cap
+    of 1, 2, 3 or 50."""
+    g, p, seed = draw(small_memories())
+    rng = np.random.default_rng(seed + 3)
+    b = draw(st.integers(1, 6))
+    mus = rng.integers(p.m_patterns, size=b)
+    starts = p.bits[mus].T.copy()
+    for c in range(b):
+        kind = draw(st.sampled_from(["target", "near", "uniform"]))
+        if kind == "near":
+            flip = rng.choice(g.n, size=draw(st.integers(1, 3)), replace=False)
+            starts[flip, c] *= -1
+        elif kind == "uniform":
+            starts[:, c] = random_state(rng, g.n)
+    return g, p, starts, mus, draw(st.sampled_from([1, 2, 3, 50]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(targeted_cases())
+def test_run_block_targets_change_no_outcome(case):
+    g, p, starts, mus, k_max = case
+    eng = hopfield.FieldEngine(g, p)
+    assert same_outcome(hopfield.run_block(eng, starts, k_max, mus),
+                        hopfield.run_block(eng, starts, k_max))
+
+
+def test_run_block_targets_retire_without_confirming(monkeypatch):
+    # per engine: a pattern that is a fixed point of T and one that is not,
+    # each as a start equal to itself and one flip away.  Every column that
+    # ends in its stable target saves exactly the confirming field
+    # evaluation, the unstable target's columns run as before, and every
+    # cap gives the same outcome either way.
+    cols = []
+    fields = hopfield.FieldEngine.fields
+    monkeypatch.setattr(hopfield.FieldEngine, "fields", lambda self, s: (
+        cols.append(1 if s.ndim == 1 else s.shape[1]) or fields(self, s)))
+    for g, m, seed in ((graphs.gen_complete(40), 9, 0),
+                       (graphs.gen_erdos_renyi(40, 0.5, 3), 4, 2)):
+        p = hopfield.sample_patterns(m, g.n, seed)
+        eng = hopfield.FieldEngine(g, p)
+        stable = (np.where(brute_fields(g, p, p.bits.T) >= 0, 1, -1) == p.bits.T).all(axis=0)
+        assert np.array_equal(eng._targets[0], stable)
+        assert 0 < stable.sum() < m
+        mus = np.array([np.argmax(stable), np.argmin(stable)] * 2)
+        starts = p.bits[mus].T.copy()
+        starts[0, 2:] *= -1
+        for k_max in (1, 2, 3, 50):
+            cols.clear()
+            fast = hopfield.run_block(eng, starts, k_max, mus)
+            fast_cols = sum(cols)
+            slow = hopfield.run_block(eng, starts, k_max)
+            slow_cols = sum(cols) - fast_cols
+            assert same_outcome(fast, slow)
+            assert fast.terminal[0] == "fixed_point" and fast.steps[0] == 1
+            at_target = ((fast.terminal == "fixed_point") & stable[mus]
+                         & (fast.final == p.bits[mus].T).all(axis=0))
+            assert slow_cols - fast_cols == at_target.sum() >= 1
+            assert at_target[2] == (k_max >= 3)
