@@ -6,7 +6,9 @@ satisfies E[exp(tS)] <= exp(l t^2 / (2 (1 - lambda1 t))) for
 P[S > y] <= exp(-y^2 / (2 (l + lambda1 y))).  Both hold deterministically
 for every graph, so the checkers here enumerate all sign vectors when n is
 small and fall back to seeded Monte Carlo with confidence intervals above.
-S goes through FieldEngine's exact product, with no n x n array.
+S goes through FieldEngine's exact product, with no n x n array, and so
+do the fields of the energy check behind `verify --check energy`, which
+runs all of its trials' sweeps and steps as blocks on that one product.
 """
 from __future__ import annotations
 
@@ -14,9 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from .graphs import Graph, gen_erdos_renyi
-from .hopfield import FieldEngine, PatternSet
+from .hopfield import FieldEngine, PatternSet, _sign, sample_patterns
 from .spectral import SpectralSummary
 
 # 2^16 states is the largest full enumeration worth doing
@@ -28,6 +31,8 @@ _MGF_BATCHES = 100
 # seed -> sample mapping
 _FORM_BLOCK = 256
 _DRAW_CHUNK = 5_000_000
+# the most n times the pattern columns of one block of energy-check trials
+_ENERGY_BLOCK = 2 ** 18
 
 
 def entropy(x: float) -> float:
@@ -133,6 +138,95 @@ def _form_values(g: Graph, samples: int, seed) -> np.ndarray:
             x = 2 * bits[lo:lo + _FORM_BLOCK].T - 1
             out.append((engine.fields(x) * x).sum(axis=0, dtype=np.int64))
     return 0.5 * np.concatenate(out)
+
+
+def _energy_check(g: Graph, trials: int, rng) -> np.ndarray:
+    """H_S(s0), H_S(S s0), H_T(s0) and H_T(T s0) of `trials` random
+    memories on g, as rows of a (trials, 4) array, each -(exact integer)/n
+    exactly as energy_S and energy_T give it.  Trial k draws from rng, in
+    turn, its pattern count M in 1..4, its M patterns (sample_patterns)
+    and its start s0, the draws of one FieldEngine per trial.
+
+    Every field goes through one adjacency engine (one all-ones pattern,
+    as in _form_values): h(s) = sum_mu xi^mu o A (xi^mu o s), so a
+    trial's fields are its M pattern-signed states' A-products, signed
+    back and summed (see _energy_block).  Trials are taken in their draw
+    order, in blocks whose n * (total M) stays at or below
+    _ENERGY_BLOCK = 2^18 (a block holds at least one trial), which bounds
+    the memory of a block's products whatever the trial count.  Needs
+    trials >= 1."""
+    engine = FieldEngine(g, PatternSet(np.ones((1, g.n), dtype=np.int8)))
+    out, xis, starts, cols = [], [], [], 0
+    for _ in range(trials):
+        m = int(rng.integers(1, 5))
+        xi = sample_patterns(m, g.n, rng).bits
+        s0 = rng.integers(0, 2, g.n, dtype=np.int8) * 2 - 1
+        if xis and g.n * (cols + m) > _ENERGY_BLOCK:
+            out.append(_energy_block(engine, xis, starts)[2])
+            xis, starts, cols = [], [], 0
+        xis.append(xi)
+        starts.append(s0)
+        cols += m
+    out.append(_energy_block(engine, xis, starts)[2])
+    return np.concatenate(out)
+
+
+def _energy_block(engine: FieldEngine, xis: list, starts: list) -> tuple:
+    """The swept states S s0, the stepped states T s0 (both (n, trials)
+    int8) and the (trials, 4) energies of _energy_check for the trials
+    with patterns xis[k] ((M_k, n)) and starts starts[k] ((n,)).
+
+    The trials' patterns stand side by side as the columns of Xi, with
+    owner[c] the trial of column c, and y = Xi o s[:, owner] holds every
+    pattern-signed state.  A trial's field is the sum over its columns of
+    Xi o (A y), one np.add.reduceat; |(A y)_i| <= deg_i and M <= 4, so
+    |h_i| <= 4 deg_i and every field is exact in int32.  The sequential
+    sweep runs every trial at once over the graph's level schedule
+    (graphs._level_schedule): per level, one product of A's level rows
+    (all ones) with y, then the level's new spins sgn(h) (sgn(0) = +1)
+    and its rows of y rewritten.  y is held in level order, in int16 when
+    the maximum degree is below 2^15, the bound on every partial sum of
+    A y."""
+    g = engine.g
+    n, ms = g.n, [x.shape[0] for x in xis]
+    xi = np.ascontiguousarray(np.concatenate(xis).T)
+    owner = np.repeat(np.arange(len(ms)), ms)
+    first = np.cumsum([0] + ms[:-1])
+    s0 = np.column_stack(starts)
+
+    def trial_fields(s):
+        ay = engine.fields(xi * s[:, owner])
+        ay *= xi
+        return np.add.reduceat(ay, first, axis=1)
+
+    # n H_S and n H_T as exact int64 sums, then over n as energy_S/T do
+    def energy_s(s, h):
+        return -(s * h).sum(axis=0, dtype=np.int64) / n
+
+    def energy_t(h):
+        return -np.abs(h).sum(axis=0, dtype=np.int64) / n
+
+    h = trial_fields(s0)
+    es0, et0, stepped = energy_s(s0, h), energy_t(h), _sign(h)
+    del h
+    lv = g._levels
+    dtype = np.int16 if int(g.degrees.max(initial=0)) < 2 ** 15 else np.int32
+    ones = np.ones(lv.cols.size, dtype=dtype)
+    xl, sl = xi[lv.order], s0[lv.order]
+    y = (xl * sl[:, owner]).astype(dtype)
+    for lo, hi in zip(lv.cuts[:-1], lv.cuts[1:]):
+        ay = np.zeros((hi - lo, y.shape[1]), dtype=dtype)
+        # indptr's offsets index the whole of cols, so no rebasing
+        _sparsetools.csr_matvecs(hi - lo, n, y.shape[1], lv.indptr[lo:hi + 1], lv.cols,
+                                 ones, y.reshape(-1), ay.reshape(-1))
+        ay *= xl[lo:hi]
+        sl[lo:hi] = _sign(np.add.reduceat(ay, first, axis=1, dtype=np.int32))
+        y[lo:hi] = xl[lo:hi] * sl[lo:hi, owner]
+    del y, xl
+    swept = np.empty_like(sl)
+    swept[lv.order] = sl
+    es1, et1 = energy_s(swept, trial_fields(swept)), energy_t(trial_fields(stepped))
+    return swept, stepped, np.column_stack([es0, es1, et0, et1])
 
 
 def tail_bound(y: float, l: int, lambda1: float) -> float:

@@ -202,8 +202,16 @@ class FieldEngine:
         """h(s) for a state (n,) or each column of a block (n, B), exact
         int32: the product runs in the engine's type, widened once here."""
         if self.storage == "complete":
-            x = s.astype(self._xi.dtype)
-            return (self._xi.T @ (self._xi @ x) - self.p.m_patterns * x).astype(np.int32)
+            # the float copy of s is gone once Xi s exists; M s is subtracted
+            # and the result widened about 2^16 entries at a time, into the
+            # product's own buffer when it is float32
+            h = self._xi.T @ (self._xi @ s.astype(self._xi.dtype))
+            out = h.view(np.int32) if h.itemsize == 4 else np.empty(h.shape, np.int32)
+            cols = h.shape[1] if h.ndim == 2 else 1
+            m, step = h.dtype.type(self.p.m_patterns), max(1, 2 ** 16 // max(cols, 1))
+            for lo in range(0, h.shape[0], step):
+                out[lo:lo + step] = h[lo:lo + step] - m * s[lo:lo + step]
+            return out
         dtype = self._j.data.dtype
         if s.ndim == 1:
             return (self._j @ s.astype(dtype)).astype(np.int32, copy=False)

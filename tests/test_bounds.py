@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from graphmem import bounds, graphs, hopfield, spectral
@@ -293,3 +294,128 @@ def test_degree_tail_validates_args():
         bounds.degree_tail_experiment(10, 0.0, 10, 0)
     with pytest.raises(ValueError):
         bounds.degree_tail_experiment(10, 0.5, 0, 0)
+
+
+def per_trial_energies(g, trials, rng):
+    """The energy check as one FieldEngine per trial: the draws, the swept
+    and stepped states as (n, trials) blocks, and the (trials, 4) energies
+    H_S(s0), H_S(S s0), H_T(s0), H_T(T s0)."""
+    patterns, starts, swept, stepped, rows = [], [], [], [], []
+    for _ in range(trials):
+        m = int(rng.integers(1, 5))
+        p = hopfield.sample_patterns(m, g.n, rng)
+        eng = hopfield.FieldEngine(g, p)
+        s0 = rng.integers(0, 2, g.n, dtype=np.int8) * 2 - 1
+        a, b = hopfield.sequential_sweep(eng, s0), hopfield.parallel_step(eng, s0)
+        patterns.append(p.bits)
+        starts.append(s0)
+        swept.append(a)
+        stepped.append(b)
+        rows.append((hopfield.energy_S(eng, s0), hopfield.energy_S(eng, a),
+                     hopfield.energy_T(eng, s0), hopfield.energy_T(eng, b)))
+    return patterns, starts, np.column_stack(swept), np.column_stack(stepped), np.array(rows)
+
+
+def batched_energies(g, trials, rng, monkeypatch, block):
+    """bounds._energy_check with _ENERGY_BLOCK set to block, and what each
+    of its blocks took and gave: (patterns, starts, _energy_block's
+    result)."""
+    monkeypatch.setattr(bounds, "_ENERGY_BLOCK", block)
+    calls = []
+    real = bounds._energy_block
+
+    def spy(engine, xis, starts):
+        out = real(engine, xis, starts)
+        calls.append((list(xis), list(starts), out))
+        return out
+
+    monkeypatch.setattr(bounds, "_energy_block", spy)
+    got = bounds._energy_check(g, trials, rng)
+    monkeypatch.undo()
+    return got, calls
+
+
+def assert_matches_per_trial(g, trials, seed, block, monkeypatch):
+    want = per_trial_energies(g, trials, np.random.default_rng(seed))
+    got, calls = batched_energies(g, trials, np.random.default_rng(seed), monkeypatch, block)
+    assert got.dtype == np.float64 and got.shape == (trials, 4)
+    assert np.array_equal(got, want[4])
+    assert np.array_equal(np.hstack([out[0] for *_, out in calls]), want[2])
+    assert np.array_equal(np.hstack([out[1] for *_, out in calls]), want[3])
+    # a block holds one trial or stays within n * (total M) <= block
+    for xis, _, _ in calls:
+        assert len(xis) == 1 or g.n * sum(x.shape[0] for x in xis) <= block
+    return want, calls
+
+
+def with_isolated_vertices():
+    # G(20, 0.3) on vertices 0..19, then five vertices with no edges
+    g = graphs.gen_erdos_renyi(20, 0.3, 5)
+    src, dst = graphs.edge_endpoints(g)
+    return graphs._from_pairs(25, src[src < dst], dst[src < dst])
+
+
+ENERGY_GRAPHS = [graphs.gen_erdos_renyi(40, 0.3, 2), graphs.gen_complete(12),
+                 graphs.gen_two_cliques(5, 14, True), with_isolated_vertices(),
+                 graphs.gen_erdos_renyi(6, 0.0, 0)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 150, 2 ** 18])
+@pytest.mark.parametrize("g", ENERGY_GRAPHS,
+                         ids=["gnp40", "K12", "two_clique", "isolated", "edgeless6"])
+def test_energy_check_matches_per_trial_engines(g, block, monkeypatch):
+    # every trial's swept and stepped state and all four energies must be
+    # those of one FieldEngine per trial, however the trials are blocked
+    want, calls = assert_matches_per_trial(g, 40, 11, block, monkeypatch)
+    assert {x.shape[0] for x in want[0]} == {1, 2, 3, 4}
+    if block < 2 ** 18:
+        assert len(calls) > 2
+    else:
+        assert len(calls) == 1
+    if g.is_complete:
+        # K_n's adjacency engine takes the "complete" storage, and its
+        # sweep runs over level data of ones, one vertex per level
+        assert hopfield.FieldEngine(g, hopfield.PatternSet(np.ones((1, g.n), np.int8))
+                                    ).storage == "complete"
+        assert len(g._levels.cuts) == g.n + 1
+    if g.edge_count == 0:
+        assert np.all(want[2] == 1) and np.all(want[3] == 1)    # sgn(0) = +1
+    assert np.all(want[4][:, 1] <= want[4][:, 0])
+    assert np.all(want[4][:, 3] <= want[4][:, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["complete", "gnp", "twoclique", "isolated"]),
+       n=st.integers(2, 16), density=st.floats(0.0, 1.0), trials=st.integers(1, 12),
+       block=st.sampled_from([1, 7, 40, 2 ** 18]), seed=st.integers(0, 2 ** 31))
+def test_energy_check_property_small_graphs(kind, n, density, trials, block, seed):
+    if kind == "complete":
+        g = graphs.gen_complete(n)
+    elif kind == "gnp":
+        g = graphs.gen_erdos_renyi(n, density, seed)
+    elif kind == "twoclique":
+        g = graphs.gen_two_cliques(max(2, n // 3), max(n, 4), bridged=seed % 2 == 0)
+    else:
+        inner = graphs.gen_erdos_renyi(n, density, seed)
+        src, dst = graphs.edge_endpoints(inner)
+        g = graphs._from_pairs(n + 3, src[src < dst], dst[src < dst])
+    with pytest.MonkeyPatch.context() as mp:
+        assert_matches_per_trial(g, trials, seed, block, mp)
+
+
+@pytest.mark.parametrize("seed", [3, 2 ** 64 + 12345])
+def test_energy_check_consumes_the_per_trial_draws(seed, monkeypatch):
+    # the same rng calls in the same order: each block gets exactly the
+    # patterns and starts of the per-trial loop, and the generator ends in
+    # the same state
+    g = graphs.gen_erdos_renyi(30, 0.2, 1)
+    want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    patterns, starts = per_trial_energies(g, 25, want_rng)[:2]
+    _, calls = batched_energies(g, 25, rng, monkeypatch, block=100)
+    assert len(calls) > 1
+    got_patterns = [x for xis, _, _ in calls for x in xis]
+    got_starts = [s for _, ss, _ in calls for s in ss]
+    assert len(got_patterns) == len(got_starts) == 25
+    for a, b in zip(got_patterns + got_starts, patterns + starts):
+        assert a.dtype == b.dtype == np.int8 and np.array_equal(a, b)
+    assert rng.bit_generator.state == want_rng.bit_generator.state

@@ -207,6 +207,27 @@ def test_verify_energy_clean(tmp_path):
     assert doc["violations"] == 0
 
 
+def test_verify_energy_spans_trial_blocks(tmp_path, monkeypatch):
+    # 400 trials on G(500, 0.1) hold about 1000 pattern columns, about twice
+    # the 2^18 / 500 that one block of the batched check takes
+    from graphmem import bounds as bounds_mod
+
+    gpath = gen_graph_file(tmp_path, n=500, p=0.1, seed=0)
+    sizes, real = [], bounds_mod._energy_block
+
+    def spy(engine, xis, starts):
+        sizes.append(len(xis))
+        return real(engine, xis, starts)
+
+    monkeypatch.setattr(bounds_mod, "_energy_block", spy)
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--check", "energy", "--graph", str(gpath),
+                   "--trials", "400", "--seed", "5", "--out", str(out)) == 0
+    assert len(sizes) > 1 and sum(sizes) == 400
+    doc = json.loads(out.read_text())
+    assert doc["violations"] == 0 and doc["detail"] == {"trials": 400}
+
+
 def test_verify_subgraph_clean(tmp_path):
     gpath = gen_graph_file(tmp_path, n=30, p=0.3)
     out = tmp_path / "v.json"

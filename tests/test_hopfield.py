@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,27 @@ def test_complete_product_bound_picks_exact_type(n, m, dtype):
     assert eng.storage == "complete" and eng._xi.dtype == dtype
     check_all_block_shapes(eng, lambda s: m * (s.sum(axis=0) - s), np.random.default_rng(1))
     assert eng.fields(np.ones(n, dtype=np.int8))[0] == m * (n - 1)
+
+
+def test_complete_fields_peak_within_six_blocks():
+    # the float copy of the block is freed before the product's buffer
+    # exists, and M s is subtracted and the result widened into that
+    # buffer 2^16 entries at a time, so a call holds about 5x the int8 block
+    n, m = 2048, 120
+    p = hopfield.sample_patterns(m, n, 1)
+    eng = hopfield.FieldEngine(lean_complete(n), p)
+    s = np.stack([random_state(np.random.default_rng(c), n) for c in range(400)], axis=1)
+    eng.fields(s[:, :2])
+    tracemalloc.start()
+    try:
+        h = eng.fields(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * s.nbytes
+    xi = p.bits.astype(np.int64)
+    assert h.dtype == np.int32
+    assert np.array_equal(h, xi.T @ (xi @ s) - m * s.astype(np.int64))
 
 
 def test_field_budget_guard_raises_before_allocating():
