@@ -6,9 +6,12 @@ satisfies E[exp(tS)] <= exp(l t^2 / (2 (1 - lambda1 t))) for
 P[S > y] <= exp(-y^2 / (2 (l + lambda1 y))).  Both hold deterministically
 for every graph, so the checkers here enumerate all sign vectors when n is
 small and fall back to seeded Monte Carlo with confidence intervals above.
-S goes through FieldEngine's exact product, with no n x n array, and so
-do the fields of the energy check behind `verify --check energy`, which
-runs all of its trials' sweeps and steps as blocks on that one product.
+S is x^T U x, one exact integer product with U, the strict upper triangle
+of the adjacency, so every edge is taken once.  The fields of the energy
+check behind `verify --check energy` go through FieldEngine's exact
+product, with no n x n array, and all of its trials' sweeps and steps run
+as blocks on that one product.  The degree check reads each G(n, p)
+sample's degrees off its drawn edges, without building the graph.
 """
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import _sparsetools
 
-from .graphs import Graph, gen_erdos_renyi
+from . import hopfield
+from .graphs import Graph, _erdos_renyi_pairs, _spans, edge_endpoints, gen_erdos_renyi
 from .hopfield import FieldEngine, PatternSet, _sign, sample_patterns
 from .spectral import SpectralSummary
 
@@ -26,9 +30,9 @@ from .spectral import SpectralSummary
 _EXHAUSTIVE_LIMIT = 16
 # batch means behind the Monte Carlo interval of mgf_check
 _MGF_BATCHES = 100
-# sign vectors per field evaluation, and signs per random draw: numpy packs
-# four int8 draws into a 32-bit word, so the draw block size is part of the
-# seed -> sample mapping
+# sign vectors per product with U (one pool task, converted to int16 on its
+# own), and signs per random draw: numpy packs four int8 draws into a
+# 32-bit word, so the draw block size is part of the seed -> sample mapping
 _FORM_BLOCK = 256
 _DRAW_CHUNK = 5_000_000
 # the most n times the pattern columns of one block of energy-check trials
@@ -117,27 +121,51 @@ class DegreeTailReport:
 
 
 def _form_values(g: Graph, samples: int, seed) -> np.ndarray:
-    """S(x) = (1/2) x^T A x, exact integers as float64, for every sign
-    vector x when n <= _EXHAUSTIVE_LIMIT, else for `samples` uniform draws
-    seeded by seed.  Rows are held as 0/1 bits; _FORM_BLOCK of them at a
-    time become the columns of an int8 sign block x, and A x is the field
-    of the engine whose one pattern is all ones.  Each |h_i x_i| <= max
-    degree, so h * x is exact in int32 and its columns are summed in int64."""
-    engine = FieldEngine(g, PatternSet(np.ones((1, g.n), dtype=np.int8)))
-    if g.n <= _EXHAUSTIVE_LIMIT:
-        codes = np.arange(2 ** g.n, dtype=np.uint32)[:, np.newaxis]
-        blocks = [((codes >> np.arange(g.n, dtype=np.uint32)) & 1).astype(np.int8)]
+    """S(x) = x^T U x, U the strict upper triangle of A, exact integers as
+    float64, for every sign vector x when n <= _EXHAUSTIVE_LIMIT, else for
+    `samples` uniform draws seeded by seed.
+
+    Rows are held as 0/1 bits, drawn _DRAW_CHUNK signs at a time; each
+    _FORM_BLOCK of them becomes, on its own, the columns of a sign block
+    x, and one product with U's arcs (all ones) gives U x.  The CSR rows
+    are sorted, so vertex i's arcs to higher vertices end its row, and
+    each edge is taken once.  |(U x)_i| <= max degree, so U x and x o U x are exact
+    in int16 while the max degree is below 2^15 (int32 otherwise), and the
+    columns are summed in int64.  The blocks are spread over hopfield's
+    thread pool, and come back in order."""
+    n, indptr = g.n, g.indptr
+    src, dst = edge_endpoints(g)
+    lower = np.bincount(src[dst < src], minlength=n)
+    arcs = _spans(indptr[:-1] + lower, indptr[1:])
+    up_ptr = np.concatenate(([0], np.cumsum(np.diff(indptr) - lower)))
+    up_cols = g.indices[arcs].astype(np.int64, copy=False)
+    dtype = np.int16 if int(g.degrees.max(initial=0)) < 2 ** 15 else np.int32
+    ones = np.ones(up_cols.size, dtype=dtype)
+
+    def forms(bits):
+        x = np.empty((n, bits.shape[0]), dtype=dtype)
+        np.multiply(bits.T, 2, out=x)
+        x -= 1
+        ux = np.zeros_like(x)
+        _sparsetools.csr_matvecs(n, n, x.shape[1], up_ptr, up_cols, ones,
+                                 x.reshape(-1), ux.reshape(-1))
+        ux *= x
+        return ux.sum(axis=0, dtype=np.int64)
+
+    if n <= _EXHAUSTIVE_LIMIT:
+        codes = np.arange(2 ** n, dtype=np.uint32)[:, np.newaxis]
+        chunks = [((codes >> np.arange(n, dtype=np.uint32)) & 1).astype(np.int8)]
     else:
         rng = np.random.default_rng(seed)
-        draw = max(1, _DRAW_CHUNK // g.n)
-        blocks = (rng.integers(0, 2, size=(min(draw, samples - lo), g.n), dtype=np.int8)
+        draw = max(1, _DRAW_CHUNK // n)
+        chunks = (rng.integers(0, 2, size=(min(draw, samples - lo), n), dtype=np.int8)
                   for lo in range(0, samples, draw))
     out = []
-    for bits in blocks:
-        for lo in range(0, bits.shape[0], _FORM_BLOCK):
-            x = 2 * bits[lo:lo + _FORM_BLOCK].T - 1
-            out.append((engine.fields(x) * x).sum(axis=0, dtype=np.int64))
-    return 0.5 * np.concatenate(out)
+    for bits in chunks:
+        out.extend(hopfield._POOL.map(forms, (bits[lo:lo + _FORM_BLOCK] for lo
+                                              in range(0, bits.shape[0], _FORM_BLOCK))))
+        del bits        # or it would still be held while the next chunk is drawn
+    return np.concatenate(out, dtype=np.float64)
 
 
 def _energy_check(g: Graph, trials: int, rng) -> np.ndarray:
@@ -148,7 +176,7 @@ def _energy_check(g: Graph, trials: int, rng) -> np.ndarray:
     and its start s0, the draws of one FieldEngine per trial.
 
     Every field goes through one adjacency engine (one all-ones pattern,
-    as in _form_values): h(s) = sum_mu xi^mu o A (xi^mu o s), so a
+    so J is A): h(s) = sum_mu xi^mu o A (xi^mu o s), so a
     trial's fields are its M pattern-signed states' A-products, signed
     back and summed (see _energy_block).  Trials are taken in their draw
     order, in blocks whose n * (total M) stays at or below
@@ -316,6 +344,17 @@ def mgf_check(g: Graph, s: SpectralSummary, t_grid, samples: int, seed,
                      "monte_carlo", samples)
 
 
+def _gnp_degrees(n: int, p: float, seed) -> np.ndarray:
+    """The degrees of gen_erdos_renyi(n, p, seed), from the same draws but
+    without building the graph: each drawn edge {u, v} counts once at u
+    and once at v."""
+    pairs = _erdos_renyi_pairs(n, p, seed)
+    if pairs is None:       # K_n draws nothing
+        return gen_erdos_renyi(n, p, seed).degrees
+    u, v = pairs
+    return np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+
+
 def degree_tail_experiment(n: int, p: float, trials: int, seed,
                            z: float = 1.959964) -> DegreeTailReport:
     """Sample G(n, p) repeatedly and record how often the max degree reaches
@@ -338,8 +377,7 @@ def degree_tail_experiment(n: int, p: float, trials: int, seed,
     lo_hits = 0
     root = np.random.SeedSequence(seed)
     for t in range(trials):
-        g = gen_erdos_renyi(n, p, np.random.default_rng(root.spawn(1)[0]))
-        d = g.degrees
+        d = _gnp_degrees(n, p, np.random.default_rng(root.spawn(1)[0]))
         if int(d.max()) >= up_t:
             hi_hits += 1
         if int(d.min()) <= lo_t:

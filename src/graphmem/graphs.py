@@ -16,8 +16,8 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-# save_edge_list formats the edges among this many arcs per write
-_WRITE_CHUNK = 1 << 17
+# save_edge_list and validate_graph read the CSR arcs this many at a time
+_ARC_CHUNK = 1 << 17
 # load_edge_list counts lines in reads of this many characters
 _READ_CHUNK = 1 << 16
 
@@ -255,16 +255,23 @@ def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
     seed : int or numpy Generator
         Randomness source; a given int seed fixes the graph.
     """
+    pairs = _erdos_renyi_pairs(n, p, seed)
+    return gen_complete(n) if pairs is None else _from_pairs(n, *pairs)
+
+
+def _erdos_renyi_pairs(n: int, p: float, seed) -> tuple[np.ndarray, np.ndarray] | None:
+    """The edges (u, v), u < v, of gen_erdos_renyi(n, p, seed), drawn from
+    seed exactly as it draws them, or None for p = 1, which is K_n and
+    draws nothing.  Checks the arguments as gen_erdos_renyi documents."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if p == 0.0 or n == 1:
-        return _from_pairs(n, np.empty(0, np.int64), np.empty(0, np.int64))
+        return np.empty(0, np.int64), np.empty(0, np.int64)
     if p == 1.0:
-        return gen_complete(n)
-    rng = np.random.default_rng(seed)
-    return _from_pairs(n, *_edge_pairs(np.ones(n), p, rng))
+        return None
+    return _edge_pairs(np.ones(n), p, np.random.default_rng(seed))
 
 
 def _edge_pairs(weights, rho, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -400,28 +407,58 @@ def validate_graph(g: Graph) -> None:
     Symmetry costs one sort: once the indices are in range and every row
     strictly increases, the arc keys src * n + dst are already in
     ascending order, so only the reversed keys dst * n + src are sorted
-    before the two are compared.
+    before the two are compared.  The arcs are read in blocks of
+    _ARC_CHUNK: the reversed keys fill one preallocated array, sorted in
+    place, and the forward keys are formed and compared a block at a
+    time, so the scratch memory is about one int64 per arc.
     """
-    if g.indptr.size == 0 or g.indptr[0] != 0 or g.indptr[-1] != g.indices.size:
+    indptr, indices = g.indptr, g.indices
+    if (indptr.size == 0 or indptr[0] != 0 or indptr[-1] != indices.size
+            or np.any(indptr[1:] < indptr[:-1])):
         raise ValueError("indptr inconsistent with indices")
-    if g.indices.size and (g.indices.min() < 0 or g.indices.max() >= g.n):
+    if indices.size and (indices.min() < 0 or indices.max() >= g.n):
         raise ValueError("neighbor index out of range")
-    src, dst = edge_endpoints(g)
-    if np.any(src == dst):
-        raise ValueError("self-loop present")
     # with every target below n, the key src * n + dst orders the arcs by
     # source, then target: each row strictly increases exactly when the
     # keys do.  An int64 n keeps the keys in int64 whatever the index dtype.
     n = np.int64(g.n)
-    fwd = src * n + dst
-    bad = np.flatnonzero(fwd[1:] <= fwd[:-1])
-    if bad.size:
-        raise ValueError(f"neighbor list of {src[bad[0]]} not strictly increasing")
+    bwd = np.empty(indices.size, dtype=np.int64)
+    loop, unsorted, last = False, None, np.int64(-1)
+    for a, b, src, dst in _arc_blocks(g, _ARC_CHUNK):
+        loop = loop or bool(np.any(src == dst))
+        fwd = src * n + dst
+        if unsorted is None:
+            bad = np.flatnonzero(fwd[1:] <= fwd[:-1])
+            # a fault at the block's first arc lies in the last block's row
+            if fwd[0] <= last:
+                unsorted = last // n
+            elif bad.size:
+                unsorted = src[bad[0]]
+        last = fwd[-1]
+        np.multiply(dst, n, out=bwd[a:b])
+        bwd[a:b] += src
+    if loop:
+        raise ValueError("self-loop present")
+    if unsorted is not None:
+        raise ValueError(f"neighbor list of {unsorted} not strictly increasing")
     # symmetry: the set of (src, dst) arcs must equal its transpose
-    bwd = dst * n + src
     bwd.sort()
-    if not np.array_equal(fwd, bwd):
-        raise ValueError("adjacency not symmetric")
+    for a, b, src, dst in _arc_blocks(g, _ARC_CHUNK):
+        if not np.array_equal(src * n + dst, bwd[a:b]):
+            raise ValueError("adjacency not symmetric")
+
+
+def _arc_blocks(g: Graph, chunk: int):
+    """(a, b, src, dst) for the arcs a..b-1 of g, `chunk` at a time: dst
+    is g.indices[a:b] and src, aligned with it, each arc's source row.
+    Needs a non-decreasing indptr."""
+    for a in range(0, g.indices.size, chunk):
+        b = min(a + chunk, g.indices.size)
+        # the rows r0 .. r1 the block meets, and their arcs within it
+        r0, r1 = np.searchsorted(g.indptr, [a, b - 1], side="right") - 1
+        cuts = np.clip(g.indptr[r0:r1 + 2], a, b)
+        src = np.repeat(np.arange(r0, r1 + 1, dtype=np.int64), np.diff(cuts))
+        yield a, b, src, g.indices[a:b]
 
 
 def save_edge_list(g: Graph, path) -> None:
@@ -429,19 +466,13 @@ def save_edge_list(g: Graph, path) -> None:
     "i j" line per undirected edge with i < j, 0-based, ascending, in plain
     decimal with "\n" line ends.
 
-    The arcs are read in blocks of _WRITE_CHUNK, and each block's edges
+    The arcs are read in blocks of _ARC_CHUNK, and each block's edges
     i -> j, i < j, are formatted into one byte buffer by _edge_lines, so
     the writer's scratch memory is bounded by the block, not the graph.
     """
     with open(path, "wb") as fh:
         fh.write(f"{g.n} {g.edge_count}\n".encode())
-        for a in range(0, g.indices.size, _WRITE_CHUNK):
-            b = min(a + _WRITE_CHUNK, g.indices.size)
-            dst = g.indices[a:b]
-            # the rows r0 .. r1 the block meets, and their arcs within it
-            r0, r1 = np.searchsorted(g.indptr, [a, b - 1], side="right") - 1
-            cuts = np.clip(g.indptr[r0:r1 + 2], a, b)
-            src = np.repeat(np.arange(r0, r1 + 1), np.diff(cuts))
+        for _, _, src, dst in _arc_blocks(g, _ARC_CHUNK):
             keep = src < dst
             fh.write(_edge_lines(np.column_stack([src[keep], dst[keep]])))
 

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -215,9 +217,29 @@ def sampled_bits(n, samples, seed):
         for lo in range(0, samples, rows)])
 
 
+@pytest.fixture(scope="module")
+def pools():
+    """A 1-worker and a 2-worker thread pool to stand in for hopfield's."""
+    made = {w: ThreadPoolExecutor(max_workers=w) for w in (1, 2)}
+    yield made
+    for pool in made.values():
+        pool.shutdown()
+
+
+def forms_on_each_pool(g, samples, seed, pools, mp):
+    """_form_values(g, samples, seed) run on the 1-worker and the 2-worker
+    pool, which must give the same bytes; returns the first."""
+    runs = []
+    for pool in pools.values():
+        mp.setattr(hopfield, "_POOL", pool)
+        runs.append(bounds._form_values(g, samples, seed))
+    assert runs[0].dtype == np.float64
+    assert runs[0].tobytes() == runs[1].tobytes()
+    return runs[0]
+
+
 # n = 333 is odd, so the 5e6-sign draw blocks end mid-word and both draw
-# blocks leave a partial field block; K_40 takes the engine's complete
-# storage, every other graph its CSR storage
+# blocks leave a partial form block
 @pytest.mark.parametrize("g, samples", [
     (graphs.gen_erdos_renyi(333, 0.1, 2), 16_000),
     (graphs.gen_complete(40), 4_096),
@@ -225,18 +247,60 @@ def sampled_bits(n, samples, seed):
     (graphs.gen_two_cliques(5, 60, True), 4_096),
     (graphs.gen_erdos_renyi(50, 0.3, 1), 1_001),
 ], ids=["gnp333", "K40", "edgeless30", "two_clique", "ragged1001"])
-def test_sampled_forms_match_brute_force_across_chunks(g, samples, monkeypatch):
+def test_sampled_forms_match_brute_force_across_chunks(g, samples, pools, monkeypatch):
     # every sampled S(x) must equal the sum over edges for the signs the
-    # seed draws, bit for bit whether the product runs on one row block or two
+    # seed draws, bit for bit whether the blocks run on one worker or two
     want = int64_forms(g, sampled_bits(g.n, samples, 7))
-    runs = []
-    for threads in (1, 2):
-        monkeypatch.setattr(hopfield, "_THREADS", threads)
-        runs.append(bounds._form_values(g, samples, 7))
-    for got in runs:
-        assert got.dtype == np.float64
-        assert np.array_equal(got, want)
-    assert runs[0].tobytes() == runs[1].tobytes()
+    assert np.array_equal(forms_on_each_pool(g, samples, 7, pools, monkeypatch), want)
+
+
+def isolated_vertices_graph(n, density, seed, extra=3):
+    """G(n, density) on vertices 0..n-1, then `extra` vertices with no edges."""
+    inner = graphs.gen_erdos_renyi(n, density, seed)
+    src, dst = graphs.edge_endpoints(inner)
+    return graphs._from_pairs(n + extra, src[src < dst], dst[src < dst])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["complete", "gnp", "twoclique", "edgeless", "isolated"]),
+       n=st.integers(2, 40), density=st.floats(0.0, 1.0), samples=st.integers(1, 700),
+       block=st.sampled_from([1, 7, 256]), seed=st.integers(0, 2 ** 31))
+def test_form_values_property(kind, n, density, samples, block, seed, pools):
+    # the exhaustive path (n <= 16) and the sampled one, with any form
+    # block and a ragged sample count, must give the int64 sum over edges
+    if kind == "complete":
+        g = graphs.gen_complete(n)
+    elif kind == "gnp":
+        g = graphs.gen_erdos_renyi(n, density, seed)
+    elif kind == "twoclique":
+        g = graphs.gen_two_cliques(max(2, n // 3), max(n, 4), bridged=seed % 2 == 0)
+    elif kind == "edgeless":
+        g = graphs.gen_erdos_renyi(n, 0.0, seed)
+    else:
+        g = isolated_vertices_graph(n, density, seed)
+    if g.n <= bounds._EXHAUSTIVE_LIMIT:
+        bits = (np.arange(2 ** g.n)[:, np.newaxis] >> np.arange(g.n)) & 1
+    else:
+        bits = sampled_bits(g.n, samples, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_FORM_BLOCK", block)
+        got = forms_on_each_pool(g, samples, seed, pools, mp)
+    assert np.array_equal(got, int64_forms(g, bits))
+
+
+def test_form_values_memory_stays_within_one_draw_chunk():
+    # the 5e6-sign draw chunk is the one large array: each form block is
+    # converted to int16 on its own, and a chunk is dropped before the next
+    # is drawn.  An int16 copy of a whole chunk alone would take 10 MB.
+    g = graphs.gen_erdos_renyi(500, 0.1, 0)
+    bounds._form_values(g, 1_000, 0)
+    tracemalloc.start()
+    try:
+        bounds._form_values(g, 100_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12_000_000
 
 
 @pytest.mark.parametrize("g", [graphs.gen_complete(16), graphs.gen_erdos_renyi(16, 0.5, 3),
@@ -285,6 +349,76 @@ def test_degree_tail_sparse_p_flagged():
     rep = bounds.degree_tail_experiment(50, 0.05, 20, 0)
     assert rep.epsilon >= 1.0
     assert not rep.in_validity_range
+
+
+# the reports of degree_tail_experiment(n, p, trials, seed) when every
+# trial still built its graph
+DEGREE_REPORTS = {
+    (2000, 0.05, 50, 0): dict(
+        epsilon=0.5513946847600939, upper_threshold=155.1394684760094,
+        lower_threshold=44.86053152399061, ci=(0.0, 0.07134760017861413),
+        upper_bound=0.0020340093206540726, lower_bound=4.242746215886811e-06,
+        in_validity_range=True),
+    (80, 0.2, 50, 7): dict(
+        epsilon=1.0466645397014605, upper_threshold=32.746632635223364,
+        lower_threshold=-0.7466326352233672, ci=(0.0, 0.07134760017861413),
+        upper_bound=0.008767151104948256, lower_bound=None, in_validity_range=False),
+    (50, 1.0, 20, 0): dict(
+        epsilon=0.5594299245073074, upper_threshold=77.97149622536537,
+        lower_threshold=22.02850377463463, ci=(0.0, 0.16112516018512965),
+        upper_bound=None, lower_bound=None, in_validity_range=False),
+    (2, 0.5, 10, 3): dict(
+        epsilon=1.6651092223153954, upper_threshold=2.6651092223153956,
+        lower_threshold=-0.6651092223153954, ci=(0.0, 0.2775328030260577),
+        upper_bound=None, lower_bound=None, in_validity_range=False),
+}
+
+
+@pytest.mark.parametrize("args", list(DEGREE_REPORTS), ids=lambda a: "-".join(map(str, a)))
+def test_degree_tail_reports_are_unchanged(args):
+    n, p, trials, _ = args
+    rec = DEGREE_REPORTS[args]
+    want = bounds.DegreeTailReport(
+        n=n, p=p, trials=trials, epsilon=rec["epsilon"],
+        upper_threshold=rec["upper_threshold"], lower_threshold=rec["lower_threshold"],
+        max_exceed_freq=0.0, max_exceed_ci=rec["ci"], min_exceed_freq=0.0,
+        min_exceed_ci=rec["ci"], upper_bound=rec["upper_bound"],
+        lower_bound=rec["lower_bound"], in_validity_range=rec["in_validity_range"],
+        violations=0)
+    assert bounds.degree_tail_experiment(*args) == want
+
+
+@pytest.mark.parametrize("n, p, trials, seed", [
+    (2000, 0.05, 6, 0), (80, 0.2, 20, 7), (50, 1.0, 3, 0), (2, 0.5, 10, 3), (300, 0.7, 5, 11),
+])
+def test_degree_tail_trials_take_the_generated_degrees(n, p, trials, seed, monkeypatch):
+    # trial t reads the degrees of gen_erdos_renyi on the t-th spawned
+    # child of the seed, though it builds no graph (but K_n at p = 1)
+    seen = []
+    real = bounds._gnp_degrees
+
+    def spy(n_, p_, rng):
+        d = real(n_, p_, rng)
+        seen.append(d)
+        return d
+
+    monkeypatch.setattr(bounds, "_gnp_degrees", spy)
+    bounds.degree_tail_experiment(n, p, trials, seed)
+    children = np.random.SeedSequence(seed).spawn(trials)
+    assert len(seen) == trials
+    for d, child in zip(seen, children):
+        g = graphs.gen_erdos_renyi(n, p, np.random.default_rng(child))
+        assert np.array_equal(d, g.degrees)
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.5), (7, 0.0), (1, 1.0), (9, 1.0), (40, 0.3)])
+def test_gnp_degrees_cover_the_special_cases(n, p):
+    # p = 0, n = 1 and p = 1 draw nothing; gen_erdos_renyi and the degree
+    # path share their handling, and the generator is left as it would be
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    want = graphs.gen_erdos_renyi(n, p, a).degrees
+    assert np.array_equal(bounds._gnp_degrees(n, p, b), want)
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_degree_tail_validates_args():
@@ -348,15 +482,8 @@ def assert_matches_per_trial(g, trials, seed, block, monkeypatch):
     return want, calls
 
 
-def with_isolated_vertices():
-    # G(20, 0.3) on vertices 0..19, then five vertices with no edges
-    g = graphs.gen_erdos_renyi(20, 0.3, 5)
-    src, dst = graphs.edge_endpoints(g)
-    return graphs._from_pairs(25, src[src < dst], dst[src < dst])
-
-
 ENERGY_GRAPHS = [graphs.gen_erdos_renyi(40, 0.3, 2), graphs.gen_complete(12),
-                 graphs.gen_two_cliques(5, 14, True), with_isolated_vertices(),
+                 graphs.gen_two_cliques(5, 14, True), isolated_vertices_graph(20, 0.3, 5, 5),
                  graphs.gen_erdos_renyi(6, 0.0, 0)]
 
 
@@ -396,9 +523,7 @@ def test_energy_check_property_small_graphs(kind, n, density, trials, block, see
     elif kind == "twoclique":
         g = graphs.gen_two_cliques(max(2, n // 3), max(n, 4), bridged=seed % 2 == 0)
     else:
-        inner = graphs.gen_erdos_renyi(n, density, seed)
-        src, dst = graphs.edge_endpoints(inner)
-        g = graphs._from_pairs(n + 3, src[src < dst], dst[src < dst])
+        g = isolated_vertices_graph(n, density, seed)
     with pytest.MonkeyPatch.context() as mp:
         assert_matches_per_trial(g, trials, seed, block, mp)
 

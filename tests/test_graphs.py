@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -548,7 +549,7 @@ def test_save_edge_list_chunks_match_one_line_per_edge(tmp_path, monkeypatch):
     want = f"{g.n} {g.edge_count}\n" + "".join(
         f"{i} {j}\n" for i, j in zip(src.tolist(), dst.tolist()) if i < j)
     for chunk in (1, 7, 1 << 16):
-        monkeypatch.setattr(graphs, "_WRITE_CHUNK", chunk)
+        monkeypatch.setattr(graphs, "_ARC_CHUNK", chunk)
         graphs.save_edge_list(g, path)
         assert path.read_text() == want
 
@@ -705,7 +706,7 @@ def raw_graph(rows, indptr=None):
 K4 = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
 
-@pytest.mark.parametrize("g,message", [
+REJECTIONS = pytest.mark.parametrize("g,message", [
     (raw_graph(K4, indptr=[1, 3, 6, 9, 12]), "indptr inconsistent"),
     (raw_graph(K4, indptr=[0, 3, 6, 9, 11]), "indptr inconsistent"),
     (graphs.Graph(np.empty(0, np.int64), np.empty(0, np.int64)), "indptr inconsistent"),
@@ -717,12 +718,47 @@ K4 = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
     (raw_graph([[1, 2, 3], [0, 2, 2, 3], [0, 1, 3], [0, 1, 2]]),
      r"^neighbor list of 1 not strictly increasing$"),
     (raw_graph([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1]]), "not symmetric"),
+    (raw_graph(K4, indptr=[0, 3, 2, 9, 12]), "indptr inconsistent"),
+    (raw_graph([[2, 1, 3], [0, 2, 3], [0, 1, 2], [0, 1, 2]]), "self-loop"),
+    (raw_graph([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2], [], [6, 0], [5]]),
+     r"^neighbor list of 5 not strictly increasing$"),
 ], ids=["indptr-start", "indptr-end", "indptr-empty", "index-high",
-        "index-negative", "self-loop", "unsorted", "repeated", "asymmetric"])
+        "index-negative", "self-loop", "unsorted", "repeated", "asymmetric",
+        "indptr-decreasing", "self-loop-after-unsorted", "unsorted-after-empty-row"])
+
+
+@REJECTIONS
 def test_validate_graph_rejections(g, message):
     with pytest.raises(ValueError, match=message):
         graphs.validate_graph(g)
     graphs.validate_graph(raw_graph(K4))
+
+
+@REJECTIONS
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_validate_graph_rejections_across_key_blocks(g, message, chunk, monkeypatch):
+    # the keys go in blocks of _ARC_CHUNK arcs: a fault that straddles two
+    # blocks, or sits in a later block than another, reads the same
+    monkeypatch.setattr(graphs, "_ARC_CHUNK", chunk)
+    with pytest.raises(ValueError, match=message):
+        graphs.validate_graph(g)
+    graphs.validate_graph(raw_graph(K4))
+    graphs.validate_graph(graphs.gen_two_cliques(3, 9, bridged=True))
+
+
+def test_validate_graph_scratch_is_about_one_key_per_arc():
+    # the reversed keys are the one arc-sized array; the forward keys and
+    # the sources are formed a block of _ARC_CHUNK arcs at a time
+    g = graphs.gen_erdos_renyi(4096, 0.15, 0)
+    graphs.validate_graph(graphs.gen_complete(3))
+    tracemalloc.start()
+    try:
+        graphs.validate_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.indices.dtype == np.int64
+    assert peak <= 1.3 * g.indices.nbytes
 
 
 # edges at the labels where the decimal width grows
@@ -737,8 +773,8 @@ def test_save_edge_list_bytes_match_per_line_reference(tmp_path, monkeypatch, n)
     g = pairs_graph(n, edges)
     want = (f"{n} {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges)).encode()
     path = tmp_path / "g.txt"
-    for chunk in (1, 7, graphs._WRITE_CHUNK):
-        monkeypatch.setattr(graphs, "_WRITE_CHUNK", chunk)
+    for chunk in (1, 7, graphs._ARC_CHUNK):
+        monkeypatch.setattr(graphs, "_ARC_CHUNK", chunk)
         graphs.save_edge_list(g, path)
         assert path.read_bytes() == want, chunk
 
@@ -765,6 +801,14 @@ def unreached(g, v):
 @example(graphs.gen_erdos_renyi(30, 0.3, 1), 2 ** 31, 5)
 @example(pairs_graph(4, [(0, 1), (2, 3)]), 0, 2)
 def test_validate_graph_finds_one_broken_reverse_arc(g, a, b):
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of 3 arcs put the broken arc and its partner in different
+        # key blocks on all but the smallest graphs
+        mp.setattr(graphs, "_ARC_CHUNK", 3 if a % 2 else graphs._ARC_CHUNK)
+        check_one_broken_reverse_arc(g, a, b)
+
+
+def check_one_broken_reverse_arc(g, a, b):
     graphs.validate_graph(g)
     if not g.edge_count:
         return
