@@ -37,7 +37,6 @@ from .hopfield import (
     energy_S,
     energy_T,
     hamming,
-    parallel_step,
     run_dynamics,
     sample_patterns,
     sequential_sweep,
@@ -86,7 +85,7 @@ __all__ = [
     "edge_endpoints", "energy_S", "energy_T", "entropy", "f_rho",
     "gen_chung_lu", "gen_complete", "gen_erdos_renyi", "gen_two_cliques",
     "hamming", "load_edge_list", "mgf_bound",
-    "mgf_check", "parallel_step", "parse_config_echo", "powerlaw_weights",
+    "mgf_check", "parse_config_echo", "powerlaw_weights",
     "predict_steps", "quadratic_form_tail", "recovery_rate", "rel_entropy",
     "reproduce_corollaries", "rho_zero", "run", "run_dynamics",
     "sample_patterns", "save_edge_list", "sequential_sweep",

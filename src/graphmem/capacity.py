@@ -234,95 +234,21 @@ def default_k_max(s: SpectralSummary, n: int) -> int:
     return max(1, math.ceil(_C_ITER * max(math.log(log_n), second)))
 
 
-# numpy's SeedSequence (4-word pool) and PCG64 seeding constants; numpy's
-# stability promise covers both, so _trial_states can replay them exactly
-_MASK32 = 0xFFFFFFFF
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**k mod 2^32 for k = 0..count, as a uint32 column."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix: row r of the result xors consts[r] into v
-    and multiplies by consts[r + 1], so successive rows replay successive
-    hash calls; v is one row per call or one row broadcast across them."""
-    v = (v ^ consts[:-1]) * consts[1:]
-    return v ^ (v >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of a hashed word y into the pool word x."""
-    r = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return r ^ (r >> 16)
-
-
-def _trial_states(seed, trials: int) -> list[dict]:
-    """PCG64(SeedSequence(entropy=(int(seed), t))).state for t < trials.
-
-    SeedSequence's pool mixing and generate_state(4, uint64) run for all
-    t at once, one row of a (words, trials) uint32 array per entropy or
-    pool word; PCG64's seeding (two 128-bit LCG steps) then runs on Python
-    ints.  The entropy is seed's little-endian uint32 words followed by t,
-    which is one word for any block that fits in memory.
-    """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    entropy = np.zeros((max(len(words) + 1, 4), trials), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(trials, dtype=np.uint32)
-    # hash calls: 4 to fill the pool, 3 per pool word to mix it into the
-    # others, 4 per entropy word beyond the pool's 4
-    extra = entropy.shape[0] - 4
-    consts = _hash_consts(_HASH_INIT_A, _HASH_MULT_A, 16 + 4 * extra)
-    pool = _hashmix(entropy[:4], consts[:5])
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[4 + 3 * src:8 + 3 * src]))
-    for j in range(extra):
-        pool = _mix(pool, _hashmix(entropy[4 + j], consts[16 + 4 * j:21 + 4 * j]))
-    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]],
-                   _hash_consts(_HASH_INIT_B, _HASH_MULT_B, 8))
-    states = []
-    for s0, s1, i0, i1 in np.ascontiguousarray(out.T, dtype="<u4").view("<u8").tolist():
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64",
-                       "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
-
-
 def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
                   trials: int, seed: int,
                   engine: FieldEngine | None = None) -> RateEstimate:
     """Exact-recovery fraction over uniformly drawn (mu, corruption) pairs,
     with a 95% Wilson interval.
 
-    Trial t draws from rng = default_rng(SeedSequence(entropy=(seed, t))):
-    mu = rng.integers(M), then the floor(rho*n) flipped vertices
-    rng.choice(n, k, replace=False).  The generators' states come from one
-    seeding pass over all trials.  A trial can succeed only if its target
-    xi^mu is a fixed point of T, which the engine reads once from the
-    exact product J Xi^T; a trial whose target is not is a failure
-    without dynamics and skips its choice draw (its generator is its
-    own).  The other trials run together as one block of the parallel
-    dynamics, each retiring as soon as it reaches its target (run_block's
-    mus).
+    One generator rng = default_rng(int(seed)) draws the whole block:
+    first every trial's mu, rng.integers(M, size=trials), then, in trial
+    order, the floor(rho*n) flipped vertices rng.choice(n, k,
+    replace=False) of each trial that can succeed.  A trial can succeed
+    only if its target xi^mu is a fixed point of T, which the engine reads
+    once from the exact product J Xi^T; a trial whose target is not is a
+    failure without dynamics and draws no flips.  The other trials run
+    together as one block of the parallel dynamics, each retiring as soon
+    as it reaches its target (run_block's mus).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -330,18 +256,10 @@ def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
         raise ValueError("rho must lie in [0, 1/2)")
     n, k = g.n, _flip_count(rho, g.n)
     eng = engine if engine is not None else FieldEngine(g, p)
-    stable = eng._targets[0]
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    mus, flips = [], []
-    for state in _trial_states(seed, trials):
-        bitgen.state = state
-        mu = rng.integers(p.m_patterns)
-        if stable[mu]:
-            mus.append(mu)
-            if k:
-                flips.append(rng.choice(n, k, replace=False))
-    mus = np.array(mus, dtype=np.int64)
+    rng = np.random.default_rng(int(seed))
+    mus = rng.integers(p.m_patterns, size=trials)
+    mus = mus[eng._targets[0][mus]]
+    flips = [rng.choice(n, k, replace=False) for _ in range(mus.size if k else 0)]
     flips = np.array(flips, dtype=np.int64).reshape(mus.size, k)
     starts = np.ascontiguousarray(p.bits.T[:, mus])
     # flat index of (vertex, column) in the C-ordered (n, runs) starts

@@ -291,14 +291,13 @@ def _cmd_verify(config: ExperimentConfig, g: graphs_mod.Graph | None) -> dict:
     return {"check": check, "violations": violations, "detail": detail}
 
 
-def reproduce_corollaries(suite: str, sizes: list[int], seed: int,
-                          rho: float = 0.05, threshold: float = 0.95,
-                          trials: int = 100, p: float = 0.15,
-                          beta: float = 3.5, davg: float = 32.0,
-                          mbar: float = 128.0, c0: float = 0.5,
-                          c_pl: float = 0.1) -> dict:
+def reproduce_corollaries(suite: str, sizes: list[int], seed: int, rho: float,
+                          threshold: float, trials: int, p: float, beta: float,
+                          davg: float, mbar: float, c0: float,
+                          c_pl: float) -> dict:
     """Run generate -> spectrum -> condition checks -> capacity_search over
     a size ladder and fit m_hat against the predicted scaling variable.
+    The reproduce parser holds every parameter's default.
 
     Predictors: N/log N (complete), pN/log N (gnp), d^2/(m_bar log N)
     (powerlaw).  Suite hypotheses are enforced up front: gnp needs

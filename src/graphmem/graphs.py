@@ -70,9 +70,6 @@ class Graph:
         """True for K_n: the graph is simple, so only K_n has n (n - 1) arcs."""
         return self.indices.size == self.n * (self.n - 1)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
     @cached_property
     def _levels(self) -> _Levels:
         # built on the first sequential sweep and kept: it depends only on

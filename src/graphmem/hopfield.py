@@ -289,11 +289,6 @@ def _sign(h: np.ndarray) -> np.ndarray:
     return (h >= 0).view(np.int8) * 2 - 1
 
 
-def parallel_step(engine: FieldEngine, s) -> np.ndarray:
-    """One application of the parallel map T."""
-    return _sign(engine.fields(np.asarray(s, dtype=np.int8)))
-
-
 def sequential_sweep(engine: FieldEngine, s) -> np.ndarray:
     """One full sweep of the sequential map S = T_n ... T_2 T_1: each vertex
     updates in index order seeing all earlier updates."""

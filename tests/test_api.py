@@ -32,4 +32,4 @@ def test_defaulted_parameter_count_is_pinned():
         except (TypeError, ValueError):     # exception classes have none
             continue
         count += sum(p.default is not inspect.Parameter.empty for p in params)
-    assert count == 25
+    assert count == 16

@@ -440,7 +440,7 @@ def per_trial_energies(g, trials, rng):
         p = hopfield.sample_patterns(m, g.n, rng)
         eng = hopfield.FieldEngine(g, p)
         s0 = rng.integers(0, 2, g.n, dtype=np.int8) * 2 - 1
-        a, b = hopfield.sequential_sweep(eng, s0), hopfield.parallel_step(eng, s0)
+        a, b = hopfield.sequential_sweep(eng, s0), hopfield._sign(eng.fields(s0))
         patterns.append(p.bits)
         starts.append(s0)
         swept.append(a)

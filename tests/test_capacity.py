@@ -3,7 +3,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from graphmem import bounds, capacity, graphs, hopfield, spectral
 
@@ -179,10 +178,13 @@ class TrialResult:
     final_distance: int    # Hamming miss, recorded for diagnostics only
 
 
-def trial_seed(master_seed, index):
-    """The per-trial seed recovery_rate's block replays: a pure function of
-    (master seed, trial index)."""
-    return np.random.SeedSequence(entropy=(int(master_seed), int(index)))
+def block_draws(seed, trials, m):
+    """The generator recovery_rate's block draws from, and every trial's
+    target: default_rng(int(seed)), then integers(M, size=trials).  The
+    same generator then draws, in trial order, the flips of each trial
+    whose target is a fixed point of T."""
+    rng = np.random.default_rng(int(seed))
+    return rng, rng.integers(m, size=trials).tolist()
 
 
 def basin_trial(g, p, mu, rho, k_max, seed):
@@ -242,12 +244,13 @@ def dense_fixed_points(g, p, rows=256):
 
 def test_recovery_rate_matches_per_trial_loop():
     # the block run must reproduce, trial by trial, basin_trial on the
-    # pattern and corruption drawn from SeedSequence((seed, t)); an
-    # overloaded memory and a tight cap mix in 2-cycles and step caps.
-    # Seeds of 2 and 3 words, rho = 0 (no flips) and k >= n/4 ride along.
-    # The CSR graphs G(40, 0.3) and G(40, 0.5) store some patterns that are
-    # fixed points of T and some that are not, so their block runs only
-    # part of the trials.
+    # patterns drawn by block_draws and the corruptions drawn after them
+    # from the same generator; an overloaded memory and a tight cap mix in
+    # 2-cycles and step caps.  Seeds of 2 and 3 words, rho = 0 (no flips)
+    # and k >= n/4 ride along.  The CSR graphs G(40, 0.3) and G(40, 0.5)
+    # store some patterns that are fixed points of T and some that are
+    # not, so their block runs only part of the trials; the others draw no
+    # flips and fail whatever their corruption.
     cases = ((graphs.gen_complete(24), 2, 0.1, 8, 11),
              (graphs.gen_complete(40), 12, 0.2, 3, 11),
              (graphs.gen_complete(30), 25, 0.3, 2, 11),
@@ -261,29 +264,30 @@ def test_recovery_rate_matches_per_trial_loop():
         n = g.n
         p = hopfield.sample_patterns(m, n, 3)
         est = capacity.recovery_rate(g, p, rho, k_max, trials=30, seed=seed)
-        runs, drawn = [], []
-        for t in range(30):
-            rng = np.random.default_rng(trial_seed(seed, t))
-            mu = int(rng.integers(p.m_patterns))
-            drawn.append(mu)
-            runs.append(basin_trial(g, p, mu, rho, k_max, rng))
+        fixed = dense_fixed_points(g, p)
+        rng, drawn = block_draws(seed, 30, m)
+        runs = []
+        for t, mu in enumerate(drawn):
+            runs.append(basin_trial(g, p, mu, rho, k_max, rng if fixed[mu] else t))
+        assert not any(r.recovered for r, mu in zip(runs, drawn) if not fixed[mu])
         wins = [r for r in runs if r.recovered]
         assert est.successes == len(wins)
         if wins:
             assert est.mean_steps == sum(r.steps for r in wins) / len(wins)
         else:
             assert math.isnan(est.mean_steps)
-        stable = dense_fixed_points(g, p)[drawn]
+        stable = fixed[drawn]
         if not g.is_complete and 0 < stable.sum() < stable.size:
             mixed += 1
     assert mixed == 2
 
 
 def test_recovery_rate_starts_match_per_trial_draws(monkeypatch):
-    # the block's columns are exactly the per-trial draws of the trials
-    # whose target is a fixed point of T: integers(M), then choice(n, k,
-    # replace=False) of that pattern.  The other trials, those whose target
-    # fails the dense fixed-point test, draw integers(M) only and never run.
+    # the block's columns are exactly the trials whose target is a fixed
+    # point of T, in trial order: integers(M, size=trials) from the block's
+    # generator, then one choice(n, k, replace=False) of that generator per
+    # such trial.  The other trials, those whose target fails the dense
+    # fixed-point test, draw nothing past their mu and never run.
     seen = []
     run_block = capacity.run_block
 
@@ -303,32 +307,15 @@ def test_recovery_rate_starts_match_per_trial_draws(monkeypatch):
         assert 0 < stable.sum() < m
         seen.clear()
         capacity.recovery_rate(g, p, rho, 1, trials=trials, seed=seed)
-        want, want_mus = [], []
-        for t in range(trials):
-            rng = np.random.default_rng(trial_seed(seed, t))
-            mu = int(rng.integers(m))
-            if stable[mu]:
-                want_mus.append(mu)
-                want.append(hopfield.corrupt(p.pattern(mu), rho, rng))
+        rng, drawn = block_draws(seed, trials, m)
+        want_mus = [mu for mu in drawn if stable[mu]]
+        want = [hopfield.corrupt(p.pattern(mu), rho, rng) for mu in want_mus]
         (starts, mus), = seen
         assert mus.tolist() == want_mus
         assert np.array_equal(starts, np.stack(want, axis=1))
         skipped += trials - len(want)
         ran += len(want)
     assert skipped and ran
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**160 - 1), trials=st.integers(1, 64))
-@example(seed=0, trials=1)
-@example(seed=2**32 - 1, trials=64)
-@example(seed=2**96, trials=3)     # 4 seed words and t: entropy past the pool
-@example(seed=2**159 + 5, trials=2)
-@example(seed=2**200 + 3, trials=4)
-def test_trial_states_match_seed_sequence(seed, trials):
-    got = capacity._trial_states(seed, trials)
-    assert got == [np.random.PCG64(trial_seed(seed, t)).state
-                   for t in range(trials)]
 
 
 def test_recovery_rate_seeds_as_seed_sequence_takes_them():
@@ -338,7 +325,7 @@ def test_recovery_rate_seeds_as_seed_sequence_takes_them():
     assert (capacity.recovery_rate(g, p, 0.2, 4, trials=20, seed=1.5)
             == capacity.recovery_rate(g, p, 0.2, 4, trials=20, seed=1))
     with pytest.raises(ValueError):
-        np.random.SeedSequence(entropy=(-1, 0))
+        np.random.default_rng(-1)
     for seed in (-1, -2**40, -1.5):
         with pytest.raises(ValueError):
             capacity.recovery_rate(g, p, 0.2, 4, trials=5, seed=seed)

@@ -432,6 +432,17 @@ def test_complete_ladder_pins_reference_m_hat(tmp_path):
     assert m_hat == {272: 23, 288: 22, 304: 15}
 
 
+def test_sparse_capacity_pins_reference_m_hat(tmp_path):
+    # the seed-0 value the benchmark's reference holds for capacity on its
+    # fixed G(5000, 0.008)
+    gpath, out = tmp_path / "sparse.txt", tmp_path / "c.csv"
+    assert run_cli("gen", "--model", "gnp", "--n", "5000", "--p", "0.008",
+                   "--seed", "0", "--out", str(gpath)) == 0
+    assert run_cli("capacity", "--graph", str(gpath), "--trials", "200",
+                   "--seed", "0", "--out", str(out)) == 0
+    assert "# m_hat=3\n" in out.read_text()
+
+
 def test_io_errors_exit_3(tmp_path):
     assert run_cli("spectrum", "--graph", str(tmp_path / "missing.txt"),
                    "--out", str(tmp_path / "s.json")) == 3
@@ -469,19 +480,28 @@ def test_reproduce_complete_suite(tmp_path):
         assert int(row[6]) >= 1      # m_hat column
 
 
+def reproduce_params(*argv):
+    """The reproduce parameters its parser fills in for argv, defaults
+    included: the parser is their one source."""
+    ns = cli.build_parser().parse_args(["reproduce", *argv])
+    return cli.config_from_args(ns).params
+
+
 def test_reproduce_complete_ladder_golden():
     # the seed -> (pattern, corruption) mapping of every retrieval trial
     # is pinned by these m_hat, which the ladder-complete benchmark also
     # checks against its reference
-    out = cli.reproduce_corollaries("complete", [272, 288, 304], 0, trials=100)
+    params = reproduce_params("--suite", "complete", "--sizes", "272,288,304")
+    out = cli.reproduce_corollaries(seed=0, **params)
     assert [r["m_hat"] for r in out["rows"]] == [23, 22, 15]
 
 
 def test_reproduce_function_validates_suite():
+    params = reproduce_params("--suite", "complete", "--sizes", "48,64,96")
     with pytest.raises(ValueError):
-        cli.reproduce_corollaries("nosuch", [48, 64, 96], 0)
+        cli.reproduce_corollaries(seed=0, **{**params, "suite": "nosuch"})
     with pytest.raises(ValueError):
-        cli.reproduce_corollaries("complete", [48, 64], 0)
+        cli.reproduce_corollaries(seed=0, **{**params, "sizes": [48, 64]})
 
 
 def test_stdout_output_when_no_path(tmp_path, capsys):

@@ -313,7 +313,7 @@ def test_zero_field_resolves_to_plus_one():
     p = hopfield.sample_patterns(2, 6, 3)
     eng = hopfield.FieldEngine(g, p)
     s = -np.ones(6, dtype=np.int8)
-    assert np.all(hopfield.parallel_step(eng, s) == 1)
+    assert np.all(hopfield._sign(eng.fields(s)) == 1)
     assert np.all(hopfield.sequential_sweep(eng, s) == 1)
 
 
@@ -332,7 +332,7 @@ def test_energies_match_brute_force():
         assert hopfield.energy_T(eng, s) == pytest.approx(want_t)
 
 
-def test_parallel_step_matches_sign_of_field():
+def test_sign_of_fields_matches_brute_force():
     rng = np.random.default_rng(8)
     for _ in range(30):
         n = int(rng.integers(2, 30))
@@ -343,7 +343,7 @@ def test_parallel_step_matches_sign_of_field():
         s = random_state(rng, n)
         h = brute_fields(g, p, s)
         want = np.where(h >= 0, 1, -1)
-        assert np.array_equal(hopfield.parallel_step(hopfield.FieldEngine(g, p), s), want)
+        assert np.array_equal(hopfield._sign(hopfield.FieldEngine(g, p).fields(s)), want)
 
 
 def test_sequential_sweep_uses_updated_prefix(tmp_path):
@@ -357,7 +357,7 @@ def test_sequential_sweep_uses_updated_prefix(tmp_path):
     eng = hopfield.FieldEngine(g, p)
     s = np.array([-1, 1], dtype=np.int8)
     assert np.array_equal(hopfield.sequential_sweep(eng, s), [1, 1])
-    assert np.array_equal(hopfield.parallel_step(eng, s), [1, -1])
+    assert np.array_equal(hopfield._sign(eng.fields(s)), [1, -1])
 
 
 def pairs_graph(n, pairs):
@@ -498,7 +498,7 @@ def test_energy_never_increases():
         s = random_state(rng, n)
         assert hopfield.energy_S(eng, hopfield.sequential_sweep(eng, s)) \
             <= hopfield.energy_S(eng, s)
-        assert hopfield.energy_T(eng, hopfield.parallel_step(eng, s)) \
+        assert hopfield.energy_T(eng, hopfield._sign(eng.fields(s))) \
             <= hopfield.energy_T(eng, s)
 
 
