@@ -65,23 +65,17 @@ class RateEstimate:
 
 
 @dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(RateEstimate):
+    """The search's estimate at m patterns, and whether its spot trial
+    recovered."""
+
     m: int
-    trials: int
-    successes: int
-    rate: float
-    ci_lo: float
-    ci_hi: float
-    mean_steps: float
     spot_ok: bool
 
 
 @dataclass(frozen=True)
 class CapacityEstimate:
     m_hat: int
-    threshold: float
-    trials_per_m: int
-    rho: float
     k_max: int
     curve: list[CurvePoint]
 
@@ -258,10 +252,11 @@ def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
     eng = engine if engine is not None else FieldEngine(g, p)
     rng = np.random.default_rng(int(seed))
     mus = rng.integers(p.m_patterns, size=trials)
-    mus = mus[eng._targets[0][mus]]
+    mus = mus[eng._targets[mus]]
     flips = [rng.choice(n, k, replace=False) for _ in range(mus.size if k else 0)]
     flips = np.array(flips, dtype=np.int64).reshape(mus.size, k)
-    starts = np.ascontiguousarray(p.bits.T[:, mus])
+    targets = p.bits.T[:, mus]
+    starts = targets.copy(order="C")
     # flat index of (vertex, column) in the C-ordered (n, runs) starts
     flips *= mus.size
     flips += np.arange(mus.size)[:, None]
@@ -269,7 +264,7 @@ def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
     flat[flips] = -flat[flips]
     out = run_block(eng, starts, k_max, mus)
     recovered = ((out.terminal == "fixed_point")
-                 & (out.final == p.bits.T[:, mus]).all(axis=0))
+                 & (out.final == targets).all(axis=0))
     succ = int(recovered.sum())
     step_sum = int(out.steps[recovered].sum())
     lo, hi = wilson_interval(succ, trials)
@@ -279,7 +274,7 @@ def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
 
 
 def _spot_trial(g: Graph, p: PatternSet, rho: float, k_max: int,
-                engine: FieldEngine | None) -> bool:
+                engine: FieldEngine) -> bool:
     """Structured corruption: flip the floor(rho*n) lowest-degree vertices
     (ties by index) of pattern 0.  On the two-clique graph this is the
     corruption that retrieval provably cannot undo.  Success needs pattern
@@ -288,14 +283,13 @@ def _spot_trial(g: Graph, p: PatternSet, rho: float, k_max: int,
     k = _flip_count(rho, g.n)
     if k == 0:
         return True
-    eng = engine if engine is not None else FieldEngine(g, p)
-    if not eng._targets[0][0]:
+    if not engine._targets[0]:
         return False
     order = np.argsort(g.degrees, kind="stable")
     target = p.pattern(0)
     start = np.array(target, dtype=np.int8)
     start[order[:k]] = -start[order[:k]]
-    out = run_dynamics(g, p, start, mode="parallel", k_max=k_max, engine=eng)
+    out = run_dynamics(g, p, start, mode="parallel", k_max=k_max, engine=engine)
     return out.terminal == "fixed_point" and np.array_equal(out.final, target)
 
 
@@ -336,9 +330,7 @@ def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
             est = recovery_rate(g, p, rho, k_max, 4 * trials, retry_seed,
                                 engine=engine)
         spot_ok = _spot_trial(g, p, rho, k_max, engine)
-        curve[m] = CurvePoint(m=m, trials=est.trials, successes=est.successes,
-                              rate=est.rate, ci_lo=est.ci_lo, ci_hi=est.ci_hi,
-                              mean_steps=est.mean_steps, spot_ok=spot_ok)
+        curve[m] = CurvePoint(**vars(est), m=m, spot_ok=spot_ok)
         return spot_ok and est.rate >= threshold
 
     # lo is the largest passing M evaluated so far: the bracket passes 1,
@@ -358,5 +350,4 @@ def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
         else:
             hi = mid
     points = sorted(curve.values(), key=lambda c: c.m)
-    return CapacityEstimate(m_hat=lo, threshold=threshold, trials_per_m=trials,
-                            rho=rho, k_max=k_max, curve=points)
+    return CapacityEstimate(m_hat=lo, k_max=k_max, curve=points)

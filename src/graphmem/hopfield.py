@@ -238,14 +238,12 @@ class FieldEngine:
         return self._j.data[lv.arcs], (-(-c // 2)).astype(dtype)
 
     @cached_property
-    def _targets(self) -> tuple:
-        """For each stored pattern xi^mu, whether it is a fixed point of T
-        and its energy H_T, both read off the exact (n, M) product
-        H = J Xi^T; computed on first use, so engines that run no trials
-        pay nothing, and H itself is not kept."""
-        h = self.fields(self.p.bits.T)
-        stable = (_sign(h) == self.p.bits.T).all(axis=0)
-        return stable, -np.abs(h, out=h).sum(axis=0) / self.g.n
+    def _targets(self) -> np.ndarray:
+        """For each stored pattern xi^mu, whether it is a fixed point of T,
+        read off the exact (n, M) product H = J Xi^T; computed on first use,
+        so engines that run no trials pay nothing, and H itself is not
+        kept."""
+        return (_sign(self.fields(self.p.bits.T)) == self.p.bits.T).all(axis=0)
 
     def sweep(self, s: np.ndarray) -> np.ndarray:
         """One sequential sweep of the (n,) state s: vertices update in
@@ -307,15 +305,12 @@ def energy_T(engine: FieldEngine, s) -> float:
 
 @dataclass(frozen=True)
 class BlockOutcome:
-    """Per-column result of run_block.  Column c ended as terminal[c]
-    after steps[c] applications of T, in state final[:, c]; energy[k, c]
-    is H_T of the state column c held before application k + 1, and nan
-    once the column has retired."""
+    """Per-column result of run_block: column c ended as terminal[c] after
+    steps[c] applications of T, in state final[:, c]."""
 
     terminal: np.ndarray    # (B,) "fixed_point" | "two_cycle" | "step_cap"
     steps: np.ndarray       # (B,) int64
     final: np.ndarray       # (n, B) int8
-    energy: np.ndarray      # (max steps, B) float64
 
 
 def run_block(engine: FieldEngine, states, k_max: int, mus=None) -> BlockOutcome:
@@ -328,9 +323,9 @@ def run_block(engine: FieldEngine, states, k_max: int, mus=None) -> BlockOutcome
     whose state after k < k_max steps equals its target, where the target
     is a fixed point of T (engine._targets, from the exact product
     J Xi^T), retires without the confirming field evaluation: as
-    fixed_point after k + 1 steps, in the target, with the target's H_T
-    as energy row k.  That is the outcome application k + 1 would give,
-    so the result is the same as without mus; only the work shrinks."""
+    fixed_point after k + 1 steps, in the target.  That is the outcome
+    application k + 1 would give, so the result is the same as without
+    mus; only the work shrinks."""
     n = engine.g.n
     s = np.asarray(states, dtype=np.int8)
     if s.ndim != 2 or s.shape[0] != n:
@@ -341,36 +336,26 @@ def run_block(engine: FieldEngine, states, k_max: int, mus=None) -> BlockOutcome
     terminal = np.full(b, "step_cap", dtype="U11")
     steps = np.full(b, k_max, dtype=np.int64)
     final = np.empty((n, b), dtype=np.int8)
-    energy = []
     live = np.arange(b)
     if mus is not None:
         mus = np.asarray(mus, dtype=np.int64)
-        stable, target_energy = engine._targets
     prev = None
     for k in range(1, k_max + 1):
-        if not live.size:
-            break
-        row = np.full(b, np.nan)
-        energy.append(row)
         if mus is not None:
             # application k would find these columns fixed at their target
-            at = stable[mus[live]] & (s == engine.p.bits[mus[live]].T).all(axis=0)
+            at = engine._targets[mus[live]] & (s == engine.p.bits[mus[live]].T).all(axis=0)
             if at.any():
                 idx = live[at]
                 terminal[idx] = "fixed_point"
                 steps[idx] = k
                 final[:, idx] = s[:, at]
-                row[idx] = target_energy[mus[idx]]
                 keep = ~at
                 live, s = live[keep], s[:, keep]
                 if prev is not None:
                     prev = prev[:, keep]
-                if not live.size:
-                    break
-        h = engine.fields(s)
-        nxt = _sign(h)
-        row[live] = -np.abs(h, out=h).sum(axis=0) / n
-        del h       # or it would live on through the next step's product
+        if not live.size:
+            break
+        nxt = _sign(engine.fields(s))
         fixed = (nxt == s).all(axis=0)
         done = fixed if prev is None else fixed | (nxt == prev).all(axis=0)
         if done.any():
@@ -382,7 +367,7 @@ def run_block(engine: FieldEngine, states, k_max: int, mus=None) -> BlockOutcome
             live, s, nxt = live[keep], s[:, keep], nxt[:, keep]
         prev, s = s, nxt
     final[:, live] = s
-    return BlockOutcome(terminal, steps, final, np.array(energy).reshape(len(energy), b))
+    return BlockOutcome(terminal, steps, final)
 
 
 def run_dynamics(g: Graph, p: PatternSet, s0, mode: str = "parallel",
@@ -393,7 +378,8 @@ def run_dynamics(g: Graph, p: PatternSet, s0, mode: str = "parallel",
     steps counts update applications performed, so a start that is already
     a fixed point reports steps=1 (the detecting application).  The energy
     trace holds H_T (parallel) or H_S (sequential) for every visited state
-    including the start.  Parallel mode is run_block on a one-column block.
+    including the start; parallel mode reads H_T off the fields that give
+    the step.
     """
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -405,27 +391,24 @@ def run_dynamics(g: Graph, p: PatternSet, s0, mode: str = "parallel",
     if not np.all(np.abs(s) == 1):
         raise ValueError("state entries must be +-1")
     eng = engine if engine is not None else FieldEngine(g, p)
-    if mode == "parallel":
-        out = run_block(eng, s[:, np.newaxis], k_max)
-        terminal, steps, final = str(out.terminal[0]), int(out.steps[0]), out.final[:, 0]
-        trace = out.energy[:steps, 0].tolist()
-        if terminal == "fixed_point":
-            trace.append(trace[-1])
-        elif terminal == "two_cycle":
-            trace.append(trace[-2])
-        else:
-            trace.append(energy_T(eng, final))
-        return DynamicsOutcome(terminal, steps, final, np.asarray(trace))
-    # sequential
-    trace = []
+    parallel = mode == "parallel"
+    trace, prev = [], None
     for k in range(1, k_max + 1):
-        trace.append(energy_S(eng, s))
-        nxt = sequential_sweep(eng, s)
+        if parallel:
+            h = eng.fields(s)
+            trace.append(-float(np.abs(h).sum()) / g.n)
+            nxt = _sign(h)
+        else:
+            trace.append(energy_S(eng, s))
+            nxt = sequential_sweep(eng, s)
         if np.array_equal(nxt, s):
             trace.append(trace[-1])
             return DynamicsOutcome("fixed_point", k, nxt, np.asarray(trace))
-        s = nxt
-    trace.append(energy_S(eng, s))
+        if parallel and prev is not None and np.array_equal(nxt, prev):
+            trace.append(trace[-2])
+            return DynamicsOutcome("two_cycle", k, nxt, np.asarray(trace))
+        prev, s = s, nxt
+    trace.append((energy_T if parallel else energy_S)(eng, s))
     return DynamicsOutcome("step_cap", k_max, s, np.asarray(trace))
 
 
