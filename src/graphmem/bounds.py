@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 from . import hopfield
 from .graphs import Graph, _erdos_renyi_pairs, _spans, edge_endpoints, gen_erdos_renyi
@@ -127,12 +126,13 @@ def _form_values(g: Graph, samples: int, seed) -> np.ndarray:
 
     Rows are held as 0/1 bits, drawn _DRAW_CHUNK signs at a time; each
     _FORM_BLOCK of them becomes, on its own, the columns of a sign block
-    x, and one product with U's arcs (all ones) gives U x.  The CSR rows
-    are sorted, so vertex i's arcs to higher vertices end its row, and
-    each edge is taken once.  |(U x)_i| <= max degree, so U x and x o U x are exact
-    in int16 while the max degree is below 2^15 (int32 otherwise), and the
-    columns are summed in int64.  The blocks are spread over hopfield's
-    thread pool, and come back in order."""
+    x, and one call of hopfield's CSR kernel with U's arcs (all ones)
+    gives U x.  The CSR rows are sorted, so vertex i's arcs to higher
+    vertices end its row, and each edge is taken once.  |(U x)_i| <= max
+    degree, so U x and x o U x are exact in int16 while the max degree is
+    below 2^15 (int32 otherwise), and the columns are summed in int64.
+    The blocks are spread over hopfield's thread pool, and come back in
+    order."""
     n, indptr = g.n, g.indptr
     src, dst = edge_endpoints(g)
     lower = np.bincount(src[dst < src], minlength=n)
@@ -147,8 +147,7 @@ def _form_values(g: Graph, samples: int, seed) -> np.ndarray:
         np.multiply(bits.T, 2, out=x)
         x -= 1
         ux = np.zeros_like(x)
-        _sparsetools.csr_matvecs(n, n, x.shape[1], up_ptr, up_cols, ones,
-                                 x.reshape(-1), ux.reshape(-1))
+        hopfield._product(up_ptr, up_cols, ones, x, ux)
         ux *= x
         return ux.sum(axis=0, dtype=np.int64)
 
@@ -209,12 +208,11 @@ def _energy_block(engine: FieldEngine, xis: list, starts: list) -> tuple:
     pattern-signed state.  A trial's field is the sum over its columns of
     Xi o (A y), one np.add.reduceat; |(A y)_i| <= deg_i and M <= 4, so
     |h_i| <= 4 deg_i and every field is exact in int32.  The sequential
-    sweep runs every trial at once over the graph's level schedule
-    (graphs._level_schedule): per level, one product of A's level rows
-    (all ones) with y, then the level's new spins sgn(h) (sgn(0) = +1)
-    and its rows of y rewritten.  y is held in level order, in int16 when
-    the maximum degree is below 2^15, the bound on every partial sum of
-    A y."""
+    sweep runs every trial at once through hopfield._level_sweep: per
+    level, one product of A's level rows (all ones) with y, then the
+    level's new spins sgn(h) (sgn(0) = +1) and its rows of y rewritten.
+    y is held in level order, in int16 when the maximum degree is below
+    2^15, the bound on every partial sum of A y."""
     g = engine.g
     n, ms = g.n, [x.shape[0] for x in xis]
     xi = np.ascontiguousarray(np.concatenate(xis).T)
@@ -239,17 +237,15 @@ def _energy_block(engine: FieldEngine, xis: list, starts: list) -> tuple:
     del h
     lv = g._levels
     dtype = np.int16 if int(g.degrees.max(initial=0)) < 2 ** 15 else np.int32
-    ones = np.ones(lv.cols.size, dtype=dtype)
     xl, sl = xi[lv.order], s0[lv.order]
     y = (xl * sl[:, owner]).astype(dtype)
-    for lo, hi in zip(lv.cuts[:-1], lv.cuts[1:]):
-        ay = np.zeros((hi - lo, y.shape[1]), dtype=dtype)
-        # indptr's offsets index the whole of cols, so no rebasing
-        _sparsetools.csr_matvecs(hi - lo, n, y.shape[1], lv.indptr[lo:hi + 1], lv.cols,
-                                 ones, y.reshape(-1), ay.reshape(-1))
+
+    def update(lo, hi, ay):
         ay *= xl[lo:hi]
         sl[lo:hi] = _sign(np.add.reduceat(ay, first, axis=1, dtype=np.int32))
-        y[lo:hi] = xl[lo:hi] * sl[lo:hi, owner]
+        return xl[lo:hi] * sl[lo:hi, owner]
+
+    hopfield._level_sweep(lv, np.ones(lv.cols.size, dtype=dtype), y, update)
     del y, xl
     swept = np.empty_like(sl)
     swept[lv.order] = sl

@@ -281,8 +281,6 @@ def _spot_trial(g: Graph, p: PatternSet, rho: float, k_max: int,
     0 to be a fixed point of T, so when the engine's exact product says it
     is not, the trial fails without dynamics."""
     k = _flip_count(rho, g.n)
-    if k == 0:
-        return True
     if not engine._targets[0]:
         return False
     order = np.argsort(g.degrees, kind="stable")

@@ -10,11 +10,12 @@ guard keeps below 2^31, so fields are returned as int32.  Inside the engine
 the product runs in the narrowest type that an exact bound allows for this
 graph and these patterns: int16 couplings when every row's absolute sum is
 below 2^15, and float32 patterns on K_n when M n is below 2^24.  The
-couplings are built by popcount over bit-packed patterns, and a block of
-states is multiplied on every available CPU by splitting the couplings into
-row blocks (see FieldEngine).  The parallel map T flips every spin to sgn(h_i)
-simultaneously (sgn(0) = +1); the sequential sweep S applies the same rule
-vertex by vertex in index order.  Energies use the 1/n normalization:
+couplings are built by popcount over bit-packed patterns, and every sparse
+product, of one state or of a block, goes through one CSR kernel
+(_product), split by rows over every available CPU (see FieldEngine).  The
+parallel map T flips every spin to sgn(h_i) simultaneously (sgn(0) = +1);
+the sequential sweep S applies the same rule vertex by vertex in index
+order.  Energies use the 1/n normalization:
 H_S = -(1/n) sum_{i,j} sigma_i sigma_j a_ij sum_mu xi_i xi_j over ordered
 pairs, H_T = -(1/n) sum_i |h_i|.
 """
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .graphs import Graph
@@ -67,7 +67,7 @@ def sample_patterns(m: int, n: int, seed) -> PatternSet:
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
     rng = np.random.default_rng(seed)
-    bits = (rng.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.int8)
+    bits = rng.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1
     return PatternSet(bits)
 
 
@@ -84,9 +84,10 @@ def _start_pool() -> None:
 
 
 # One row block of J per available CPU.  The executor starts its threads on
-# the first submit, not at import; scipy's CSR kernel releases the GIL, so
-# the blocks run in parallel.  A forked child inherits the executor but not
-# its threads, and would wait forever on it, so the child gets a new one.
+# the first submit, not at import; the CSR kernel (_product) releases the
+# GIL, so the blocks run in parallel.  A forked child inherits the executor
+# but not its threads, and would wait forever on it, so the child gets a
+# new one.
 _THREADS = _cpu_count()
 _start_pool()
 if hasattr(os, "register_at_fork"):
@@ -100,6 +101,31 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     packed = np.zeros((n, 8 * -(-m // 64)), dtype=np.uint8)
     packed[:, :-(-m // 8)] = np.packbits(bits.T < 0, axis=1, bitorder="little")
     return packed.view(np.uint64)
+
+
+def _product(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+             x: np.ndarray, out: np.ndarray) -> None:
+    """out += M x for an (n, B) block x and the CSR rows of M that indptr
+    delimits, into the C-contiguous (rows, B) block out.  indptr's offsets
+    index the whole of indices and data, so an indptr slice needs no
+    rebasing.  One column takes scipy's vector kernel, 3-4x faster there."""
+    rows, (n, b), x, out = indptr.size - 1, x.shape, x.reshape(-1), out.reshape(-1)
+    if b == 1:
+        _sparsetools.csr_matvec(rows, n, indptr, indices, data, x, out)
+    else:
+        _sparsetools.csr_matvecs(rows, n, b, indptr, indices, data, x, out)
+
+
+def _level_sweep(lv, data: np.ndarray, y: np.ndarray, update) -> None:
+    """Sweep the (n, B) block y, held in the level order lv
+    (graphs._level_schedule): level by level, rows lo:hi of y become
+    update(lo, hi, P), P the product of the level's rows (weights data,
+    aligned with lv.cols) with y, in y's type.  A level's vertices are
+    pairwise non-adjacent, so this is exactly the index-order sweep."""
+    p = np.zeros_like(y)
+    for lo, hi in zip(lv.cuts[:-1], lv.cuts[1:]):
+        _product(lv.indptr[lo:hi + 1], lv.cols, data, y, p[lo:hi])
+        y[lo:hi] = update(lo, hi, p[lo:hi])
 
 
 def _row_cuts(indptr: np.ndarray, parts: int) -> list:
@@ -129,9 +155,9 @@ class FieldEngine:
       partial sum the product accumulates for row i is bounded by
       r_i = sum_j |J_ij|, so the weights and the product are int16 when
       max_i r_i < 2^15 and int32 otherwise (r_i <= M deg_i < 2^31 under
-      the guard).  A block of states is multiplied as one row block of J
-      per available CPU, each a view of J's arrays, on a shared thread
-      pool; a single state takes one direct product.
+      the guard).  A state is a one-column block, and a block is split
+      into one row run of J per available CPU (_rows), each one _product
+      call on a shared thread pool.
 
     fields() accepts one state (n,) or a block of states (n, B) and
     returns exact fields of the same shape, widened to int32 whatever the
@@ -153,11 +179,11 @@ class FieldEngine:
             self._xi = p.bits.astype(np.float32 if exact32 else np.float64)
         else:
             self.storage = "csr"
-            weights = self._edge_weights()
+            self._data = self._edge_weights()
             if self._max_row_sum < 2 ** 15:
-                weights = weights.astype(np.int16)
-            self._j = sp.csr_array((weights, g.indices, g.indptr), shape=(g.n, g.n))
-            self._blocks = self._row_blocks()
+                self._data = self._data.astype(np.int16)
+            cuts = _row_cuts(g.indptr, _THREADS)
+            self._rows = list(zip(cuts[:-1], cuts[1:]))
 
     def _edge_weights(self) -> np.ndarray:
         """Per-arc pattern products M - 2 popcount(x_i XOR x_j) as int32,
@@ -182,60 +208,41 @@ class FieldEngine:
             self._max_row_sum = max(self._max_row_sum, int(row_sums.max(initial=0)))
         return out
 
-    def _row_blocks(self) -> list:
-        """J split into up to _THREADS row blocks of about equal arc counts:
-        (first row, last row + 1, rebased indptr, indices view, data view)."""
-        indptr = self._j.indptr
-        rows = _row_cuts(indptr, _THREADS)
-        return [(lo, hi, indptr[lo:hi + 1] - indptr[lo],
-                 self._j.indices[indptr[lo]:indptr[hi]],
-                 self._j.data[indptr[lo]:indptr[hi]])
-                for lo, hi in zip(rows[:-1], rows[1:])]
-
-    def _block_product(self, block, x: np.ndarray, out: np.ndarray) -> None:
-        # out[lo:hi] += J[lo:hi] @ x, as scipy's own 2-D CSR product calls it
-        lo, hi, indptr, indices, data = block
-        _sparsetools.csr_matvecs(hi - lo, self.g.n, x.shape[1], indptr, indices,
-                                 data, x.reshape(-1), out[lo:hi].reshape(-1))
-
     def fields(self, s: np.ndarray) -> np.ndarray:
         """h(s) for a state (n,) or each column of a block (n, B), exact
         int32: the product runs in the engine's type, widened once here."""
+        x = s[:, np.newaxis] if s.ndim == 1 else s
         if self.storage == "complete":
             # the float copy of s is gone once Xi s exists; M s is subtracted
             # and the result widened about 2^16 entries at a time, into the
-            # product's own buffer when it is float32
+            # product's own buffer when it is float32.  A state stays 1-D: an
+            # (n, 1) float32 matmul was seen to raise a spurious invalid value
             h = self._xi.T @ (self._xi @ s.astype(self._xi.dtype))
             out = h.view(np.int32) if h.itemsize == 4 else np.empty(h.shape, np.int32)
-            cols = h.shape[1] if h.ndim == 2 else 1
-            m, step = h.dtype.type(self.p.m_patterns), max(1, 2 ** 16 // max(cols, 1))
+            m, step = h.dtype.type(self.p.m_patterns), max(1, 2 ** 16 // max(x.shape[1], 1))
             for lo in range(0, h.shape[0], step):
                 out[lo:lo + step] = h[lo:lo + step] - m * s[lo:lo + step]
             return out
-        dtype = self._j.data.dtype
-        if s.ndim == 1:
-            return (self._j @ s.astype(dtype)).astype(np.int32, copy=False)
-        x = np.ascontiguousarray(s, dtype=dtype)
-        out = np.zeros(x.shape, dtype=dtype)
-        first, *rest = self._blocks
-        futures = [_POOL.submit(self._block_product, b, x, out) for b in rest]
+        x = np.ascontiguousarray(x, dtype=self._data.dtype)
+        out = np.zeros(x.shape, dtype=x.dtype)
+        indptr, indices = self.g.indptr, self.g.indices
+        (lo, hi), *rest = self._rows
+        futures = [_POOL.submit(_product, indptr[a:b + 1], indices, self._data, x, out[a:b])
+                   for a, b in rest]
         try:
-            self._block_product(first, x, out)
+            _product(indptr[lo:hi + 1], indices, self._data, x, out[lo:hi])
         finally:
             for f in futures:
                 f.result()
         del x       # free the input copy before the widened output exists
-        return out.astype(np.int32, copy=False)
+        return out.astype(np.int32, copy=False).reshape(s.shape)
 
     @cached_property
-    def _level_rows(self) -> tuple:
-        """J's weights in the graph's level order and, for each row in that
-        order, the threshold t_i = ceil(c_i / 2) with c = J 1; gathered on
-        the first sweep, so engines that never sweep pay nothing."""
-        lv = self.g._levels
-        c = self.fields(np.ones(self.g.n, dtype=np.int8))[lv.order]
-        dtype = self._j.data.dtype
-        return self._j.data[lv.arcs], (-(-c // 2)).astype(dtype)
+    def _level_data(self) -> np.ndarray:
+        """J's weights in the graph's level order, aligned with
+        g._levels.cols; gathered on the first sweep, so engines that never
+        sweep pay nothing."""
+        return self._data[self.g._levels.arcs]
 
     @cached_property
     def _targets(self) -> np.ndarray:
@@ -251,15 +258,10 @@ class FieldEngine:
         keeps u = Xi s and adds 2 s_i Xi[:, i] when spin i flips to s_i, so
         a vertex costs O(M); u's entries are integers of magnitude <= n.
 
-        On "csr" it takes one row-block product per level of the graph's
-        level schedule (graphs._level_schedule): a level's vertices are
-        pairwise non-adjacent, and each sees its lower neighbours' new
-        spins and its higher neighbours' old ones, exactly as in index
-        order.  The state is held in level order as b = (s + 1) / 2, so a
-        level reads and writes one slice, and since h = 2 J b - J 1, its
-        new spins are +1 exactly where (J b)_i >= t_i.  Every partial sum
-        of J b is bounded by r_i, so both storages compute in the type,
-        and under the bound, of fields()."""
+        On "csr" it runs _level_sweep with the +-1 state in level order:
+        a level's new spins are the signs of its product.  Every partial
+        sum of J s is bounded by r_i, so both storages compute in the
+        type, and under the bound, of fields()."""
         out = np.array(s, dtype=np.int8)
         if self.storage == "complete":
             u = self._xi @ out.astype(self._xi.dtype)
@@ -269,16 +271,11 @@ class FieldEngine:
                     out[i] = new
                     u += 2 * new * col
             return out
-        lv, (data, t) = self.g._levels, self._level_rows
-        b = (out[lv.order] > 0).astype(data.dtype)
-        jb = np.zeros(b.size, dtype=data.dtype)
-        for lo, hi in zip(lv.cuts[:-1], lv.cuts[1:]):
-            # indptr's offsets index the whole of cols and data, so the
-            # level's rows need no rebasing
-            _sparsetools.csr_matvec(hi - lo, b.size, lv.indptr[lo:hi + 1], lv.cols,
-                                    data, b, jb[lo:hi])
-            b[lo:hi] = jb[lo:hi] >= t[lo:hi]
-        out[lv.order] = 2 * b - 1
+        lv = self.g._levels
+        y = out[lv.order, np.newaxis].astype(self._level_data.dtype)
+        # sgn(h) | 1 is _sign in y's type: sgn(0) = 0 becomes +1
+        _level_sweep(lv, self._level_data, y, lambda lo, hi, h: np.sign(h) | 1)
+        out[lv.order] = y[:, 0]
         return out
 
 

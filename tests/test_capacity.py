@@ -394,6 +394,20 @@ def test_capacity_zero_on_split_cliques_with_large_corruption():
     assert not est.curve[0].spot_ok
 
 
+def test_spot_trial_without_flips_needs_a_stable_target():
+    # at rho < 1/n the spot trial flips nothing, so it passes exactly when
+    # pattern 0 is a fixed point of T; on K_100 with these 20 patterns it
+    # is not, and a stable pattern 0 still passes
+    g = graphs.gen_complete(100)
+    p = hopfield.sample_patterns(20, 100, 1)
+    eng = hopfield.FieldEngine(g, p)
+    assert not eng._targets[0]
+    for rho in (0.0, 0.009):
+        assert capacity._spot_trial(g, p, rho, 10, eng) is False
+    stable = hopfield.PatternSet(p.bits[:1])
+    assert capacity._spot_trial(g, stable, 0.0, 10, hopfield.FieldEngine(g, stable))
+
+
 def test_capacity_search_validates():
     g = graphs.gen_complete(16)
     with pytest.raises(ValueError):

@@ -152,11 +152,11 @@ def test_thread_count_does_not_change_results(monkeypatch):
         for threads in (1, 2, 3):
             monkeypatch.setattr(hopfield, "_THREADS", threads)
             eng = hopfield.FieldEngine(g, p)
-            assert eng._j.data.dtype == (np.int32 if reps > 1 else np.int16)
+            assert eng._data.dtype == (np.int32 if reps > 1 else np.int16)
             if n >= 40:
-                assert len(eng._blocks) == threads
+                assert len(eng._rows) == threads
             else:   # blocks split the arcs, so an edgeless graph is one block
-                assert 1 <= len(eng._blocks) <= min(threads, n)
+                assert 1 <= len(eng._rows) <= min(threads, n)
             runs.append((eng.fields(starts), hopfield.run_block(eng, starts, 30)))
         h, out = runs[0]
         assert np.array_equal(h, reps * brute_weights(g, base) @ starts)
@@ -165,6 +165,38 @@ def test_thread_count_does_not_change_results(monkeypatch):
             assert np.array_equal(out_t.terminal, out.terminal)
             assert np.array_equal(out_t.steps, out.steps)
             assert np.array_equal(out_t.final, out.final)
+
+
+@pytest.mark.parametrize("reps", [1, 4096], ids=["int16", "int32"])
+@pytest.mark.parametrize("ptr_dtype,idx_dtype",
+                         [(np.int64, np.int32), (np.int32, np.int32)],
+                         ids=["int32-indices", "int32-both"])
+def test_int32_graph_arrays_give_the_same_results(ptr_dtype, idx_dtype, reps, monkeypatch):
+    # the engine's products read the graph's own indptr and indices, so a
+    # graph stored in int32 must give what the int64 one gives, on one and
+    # two row runs
+    g = graphs.gen_erdos_renyi(300, 0.05, 21)
+    narrow = graphs.Graph(g.indptr.astype(ptr_dtype), g.indices.astype(idx_dtype))
+    graphs.validate_graph(narrow)
+    base = hopfield.sample_patterns(9, g.n, 22)
+    p = hopfield.PatternSet(np.repeat(base.bits, reps, axis=0))
+    rng = np.random.default_rng(23)
+    block = np.stack([hopfield.corrupt(base.pattern(mu), 0.2, mu) for mu in range(4)],
+                     axis=1)
+    states = [random_state(rng, g.n) for _ in range(3)] + [base.pattern(0)]
+    for threads in (1, 2):
+        monkeypatch.setattr(hopfield, "_THREADS", threads)
+        wide, eng = hopfield.FieldEngine(g, p), hopfield.FieldEngine(narrow, p)
+        assert eng._data.dtype == wide._data.dtype == (np.int32 if reps > 1 else np.int16)
+        assert len(eng._rows) == threads
+        assert np.array_equal(eng.fields(block), wide.fields(block))
+        assert np.array_equal(eng.fields(block), reps * brute_weights(g, base) @ block)
+        assert np.array_equal(eng._targets, wide._targets)
+        for s in states:
+            h = eng.fields(s)
+            assert h.dtype == np.int32 and np.array_equal(h, wide.fields(s))
+            assert np.array_equal(eng.sweep(s), wide.sweep(s))
+            assert np.array_equal(eng.sweep(s), brute_sweep(g, base, s))
 
 
 def check_all_block_shapes(eng, oracle, rng):
@@ -188,7 +220,7 @@ def test_csr_row_sum_bound_picks_exact_type(hub_degree, dtype):
     n = hub_degree + 1
     g = graphs._from_pairs(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
     eng = hopfield.FieldEngine(g, hopfield.PatternSet(np.ones((1, n), dtype=np.int8)))
-    assert eng.storage == "csr" and eng._j.data.dtype == dtype
+    assert eng.storage == "csr" and eng._data.dtype == dtype
     a = graphs.adjacency_matrix(g).astype(np.int64)
     check_all_block_shapes(eng, lambda s: a @ s, np.random.default_rng(0))
     ones = np.ones(n, dtype=np.int8)
@@ -374,7 +406,7 @@ def repeated(base, reps):
 
 def check_sweep_type(eng, g, reps):
     if eng.storage == "csr" and g.edge_count:
-        assert eng._j.data.dtype == (np.int16 if reps == 1 else np.int32)
+        assert eng._data.dtype == (np.int16 if reps == 1 else np.int32)
 
 
 # the CSR sweep runs level by level (graphs._level_schedule): these graphs
@@ -480,7 +512,7 @@ def test_sweep_builds_one_schedule_per_graph_and_only_when_it_sweeps(monkeypatch
         for s in block.T:
             assert np.array_equal(eng.sweep(s), brute_sweep(g, eng.p, s))
     assert calls == [g]
-    assert engines[0]._level_rows[0] is not engines[1]._level_rows[0]
+    assert engines[0]._level_data is not engines[1]._level_data
 
 
 def test_energy_never_increases():

@@ -34,7 +34,8 @@ for argv in (
      "--mode", "sequential", "--seed", "3", "--out", "dynamics.json"],
 ):
     assert cli.main(argv) == 0, argv
-print(json.dumps({"missing": sorted(rec.missing), "counts": dict(rec.counts)}))
+print(json.dumps({"missing": sorted(rec.missing), "counts": dict(rec.counts),
+                  "spans": sorted({span[2] for span in rec.spans})}))
 """
 
 
@@ -50,3 +51,5 @@ def test_every_benchmark_probe_finds_its_target(tmp_path):
     counts = got["counts"]
     for key in ("capacity.trials", "hopfield.field_evals", "hopfield.dynamics_runs"):
         assert counts.get(key, 0) > 0, key
+    # the sequential dynamics run sweeps through the wrapped entry point
+    assert "hopfield.sequential_sweep" in got["spans"]
