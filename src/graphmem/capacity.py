@@ -228,6 +228,35 @@ def default_k_max(s: SpectralSummary, n: int) -> int:
     return max(1, math.ceil(_C_ITER * max(math.log(log_n), second)))
 
 
+def _flip_signs(rng: np.random.Generator, b: int, n: int, k: int) -> np.ndarray:
+    """(b, n) int8, -1 where row t flips and +1 elsewhere: trial t flips the
+    first k distinct values of its own sequence of draws from rng.
+
+    The sequences start as the rows of rng.integers(n, size=(b, k)).  While
+    any row holds fewer than k distinct values, every row draws one more,
+    rng.integers(n, size=b), and a row that is already full discards its
+    own.  The first k distinct values of a sequence of uniform draws are a
+    uniform k-subset.  A (b, n) bitmap tracks which values each row holds,
+    so a round is a few array operations on the rows still short."""
+    seen = np.zeros((b, n), dtype=bool)
+    flat = seen.reshape(-1)     # row t holds value v where flat[t n + v]
+    first = rng.integers(n, size=(b, k))
+    first += np.arange(0, b * n, n)[:, np.newaxis]
+    flat[first] = True
+    # the rows still short, how many values each lacks, and their offsets
+    lack = k - np.count_nonzero(seen, axis=1)
+    short = np.flatnonzero(lack)
+    lack, base = lack[short], short * n
+    while short.size:
+        at = rng.integers(n, size=b)[short] + base
+        new = ~flat[at]
+        flat[at[new]] = True
+        lack -= new
+        keep = np.flatnonzero(lack)
+        short, lack, base = short[keep], lack[keep], base[keep]
+    return 1 - 2 * seen.view(np.int8)
+
+
 def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
                   trials: int, seed: int,
                   engine: FieldEngine | None = None) -> RateEstimate:
@@ -235,14 +264,14 @@ def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
     with a 95% Wilson interval.
 
     One generator rng = default_rng(int(seed)) draws the whole block:
-    first every trial's mu, rng.integers(M, size=trials), then, in trial
-    order, the floor(rho*n) flipped vertices rng.choice(n, k,
-    replace=False) of each trial that can succeed.  A trial can succeed
-    only if its target xi^mu is a fixed point of T, which the engine reads
-    once from the exact product J Xi^T; a trial whose target is not is a
-    failure without dynamics and draws no flips.  The other trials run
-    together as one block of the parallel dynamics, each retiring as soon
-    as it reaches its target (run_block's mus).
+    first every trial's mu, rng.integers(M, size=trials), then the
+    floor(rho*n) flipped vertices of each trial that can succeed, all of
+    them at once (_flip_signs).  A trial can succeed only if its target
+    xi^mu is a fixed point of T, which the engine reads once from the
+    exact product J Xi^T; a trial whose target is not is a failure without
+    dynamics and draws no flips.  The other trials run together as one
+    block of the parallel dynamics, each retiring as soon as it reaches
+    its target (run_block's mus).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -253,15 +282,9 @@ def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
     rng = np.random.default_rng(int(seed))
     mus = rng.integers(p.m_patterns, size=trials)
     mus = mus[eng._targets[mus]]
-    flips = [rng.choice(n, k, replace=False) for _ in range(mus.size if k else 0)]
-    flips = np.array(flips, dtype=np.int64).reshape(mus.size, k)
-    targets = p.bits.T[:, mus]
-    starts = targets.copy(order="C")
-    # flat index of (vertex, column) in the C-ordered (n, runs) starts
-    flips *= mus.size
-    flips += np.arange(mus.size)[:, None]
-    flat = starts.reshape(-1)
-    flat[flips] = -flat[flips]
+    rows = p.bits[mus]
+    targets = rows.T
+    starts = (rows * _flip_signs(rng, mus.size, n, k)).T
     out = run_block(eng, starts, k_max, mus)
     recovered = ((out.terminal == "fixed_point")
                  & (out.final == targets).all(axis=0))

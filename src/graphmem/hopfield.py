@@ -215,14 +215,16 @@ class FieldEngine:
         if self.storage == "complete":
             # the float copy of s is gone once Xi s exists; M s is subtracted
             # and the result widened about 2^16 entries at a time, into the
-            # product's own buffer when it is float32.  A state stays 1-D: an
-            # (n, 1) float32 matmul was seen to raise a spurious invalid value
-            h = self._xi.T @ (self._xi @ s.astype(self._xi.dtype))
+            # product's own buffer when it is float32.  A state, and a
+            # one-column block, run 1-D: an (n, 1) float32 matmul was seen
+            # to raise a spurious invalid value
+            v = x[:, 0] if x.shape[1] == 1 else x
+            h = self._xi.T @ (self._xi @ v.astype(self._xi.dtype))
             out = h.view(np.int32) if h.itemsize == 4 else np.empty(h.shape, np.int32)
             m, step = h.dtype.type(self.p.m_patterns), max(1, 2 ** 16 // max(x.shape[1], 1))
             for lo in range(0, h.shape[0], step):
-                out[lo:lo + step] = h[lo:lo + step] - m * s[lo:lo + step]
-            return out
+                out[lo:lo + step] = h[lo:lo + step] - m * v[lo:lo + step]
+            return out.reshape(s.shape)
         x = np.ascontiguousarray(x, dtype=self._data.dtype)
         out = np.zeros(x.shape, dtype=x.dtype)
         indptr, indices = self.g.indptr, self.g.indices

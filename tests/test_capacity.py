@@ -1,8 +1,10 @@
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphmem import bounds, capacity, graphs, hopfield, spectral
 
@@ -178,30 +180,56 @@ class TrialResult:
     final_distance: int    # Hamming miss, recorded for diagnostics only
 
 
-def block_draws(seed, trials, m):
-    """The generator recovery_rate's block draws from, and every trial's
-    target: default_rng(int(seed)), then integers(M, size=trials).  The
-    same generator then draws, in trial order, the flips of each trial
-    whose target is a fixed point of T."""
+def block_draws(seed, trials, m, stable, n, k):
+    """The draws of recovery_rate's block, replayed by its stated rule with
+    one Python set per trial: default_rng(int(seed)) draws every trial's
+    target, integers(M, size=trials), and then the flips of the trials
+    whose target is stable (a fixed point of T), in trial order.  Those b
+    trials start from the rows of integers(n, size=(b, k)); while any holds
+    fewer than k distinct values, each round draws integers(n, size=b) and
+    a trial that is still short takes its own entry.  Returns the targets
+    and, per stable trial, its set of flipped vertices."""
     rng = np.random.default_rng(int(seed))
-    return rng, rng.integers(m, size=trials).tolist()
+    drawn = rng.integers(m, size=trials).tolist()
+    b = sum(bool(stable[mu]) for mu in drawn)
+    # a row of k draws holds at most k distinct values: all of them count
+    held = [set(row) for row in rng.integers(n, size=(b, k)).tolist()]
+    while any(len(h) < k for h in held):
+        for h, v in zip(held, rng.integers(n, size=b).tolist()):
+            if len(h) < k:
+                h.add(v)
+    return drawn, held
 
 
-def basin_trial(g, p, mu, rho, k_max, seed):
-    """One corrupted-retrieval trial, run alone: the per-trial oracle for
-    recovery_rate's block run.  Corrupt pattern mu by exactly floor(rho*n)
-    uniform flips, run the parallel dynamics, and report exact recovery."""
-    if not 0 <= mu < p.m_patterns:
-        raise ValueError("mu out of range")
-    if not 0.0 <= rho < 0.5:
-        raise ValueError("rho must lie in [0, 1/2)")
+def flipped(target, flips):
+    start = np.array(target, dtype=np.int8)
+    for i in flips:
+        start[i] = -start[i]
+    return start
+
+
+def retrieval_trial(g, p, mu, rho, start, k_max):
+    """Run the parallel dynamics from start, pattern mu corrupted at rate
+    rho, alone and report exact recovery: the per-trial oracle for
+    recovery_rate's block run."""
     target = p.pattern(mu)
-    start = hopfield.corrupt(target, rho, seed)
     out = hopfield.run_dynamics(g, p, start, mode="parallel", k_max=k_max)
     recovered = out.terminal == "fixed_point" and np.array_equal(out.final, target)
     return TrialResult(recovered=recovered, steps=out.steps, terminal=out.terminal,
                        target_mu=mu, rho=rho,
                        final_distance=hopfield.hamming(out.final, target))
+
+
+def basin_trial(g, p, mu, rho, k_max, seed):
+    """One corrupted-retrieval trial, run alone: corrupt pattern mu by
+    exactly floor(rho*n) uniform flips, run the parallel dynamics, and
+    report exact recovery."""
+    if not 0 <= mu < p.m_patterns:
+        raise ValueError("mu out of range")
+    if not 0.0 <= rho < 0.5:
+        raise ValueError("rho must lie in [0, 1/2)")
+    start = hopfield.corrupt(p.pattern(mu), rho, seed)
+    return retrieval_trial(g, p, mu, rho, start, k_max)
 
 
 def test_basin_trial_recovers_single_pattern():
@@ -243,14 +271,14 @@ def dense_fixed_points(g, p, rows=256):
 
 
 def test_recovery_rate_matches_per_trial_loop():
-    # the block run must reproduce, trial by trial, basin_trial on the
-    # patterns drawn by block_draws and the corruptions drawn after them
-    # from the same generator; an overloaded memory and a tight cap mix in
-    # 2-cycles and step caps.  Seeds of 2 and 3 words, rho = 0 (no flips)
-    # and k >= n/4 ride along.  The CSR graphs G(40, 0.3) and G(40, 0.5)
-    # store some patterns that are fixed points of T and some that are
-    # not, so their block runs only part of the trials; the others draw no
-    # flips and fail whatever their corruption.
+    # the block run must reproduce, trial by trial, retrieval_trial on the
+    # patterns and the flips that block_draws replays from the same seed;
+    # an overloaded memory and a tight cap mix in 2-cycles and step caps.
+    # Seeds of 2 and 3 words, rho = 0 (no flips) and k >= n/4 ride along.
+    # The CSR graphs G(40, 0.3) and G(40, 0.5) store some patterns that
+    # are fixed points of T and some that are not, so their block runs
+    # only part of the trials; the others draw no flips and fail whatever
+    # their corruption.
     cases = ((graphs.gen_complete(24), 2, 0.1, 8, 11),
              (graphs.gen_complete(40), 12, 0.2, 3, 11),
              (graphs.gen_complete(30), 25, 0.3, 2, 11),
@@ -265,10 +293,16 @@ def test_recovery_rate_matches_per_trial_loop():
         p = hopfield.sample_patterns(m, n, 3)
         est = capacity.recovery_rate(g, p, rho, k_max, trials=30, seed=seed)
         fixed = dense_fixed_points(g, p)
-        rng, drawn = block_draws(seed, 30, m)
+        drawn, held = block_draws(seed, 30, m, fixed, n, hopfield._flip_count(rho, n))
+        flips = iter(held)
         runs = []
         for t, mu in enumerate(drawn):
-            runs.append(basin_trial(g, p, mu, rho, k_max, rng if fixed[mu] else t))
+            if fixed[mu]:
+                start = flipped(p.pattern(mu), next(flips))
+                runs.append(retrieval_trial(g, p, mu, rho, start, k_max))
+            else:
+                runs.append(basin_trial(g, p, mu, rho, k_max, t))
+        assert next(flips, None) is None
         assert not any(r.recovered for r, mu in zip(runs, drawn) if not fixed[mu])
         wins = [r for r in runs if r.recovered]
         assert est.successes == len(wins)
@@ -282,12 +316,8 @@ def test_recovery_rate_matches_per_trial_loop():
     assert mixed == 2
 
 
-def test_recovery_rate_starts_match_per_trial_draws(monkeypatch):
-    # the block's columns are exactly the trials whose target is a fixed
-    # point of T, in trial order: integers(M, size=trials) from the block's
-    # generator, then one choice(n, k, replace=False) of that generator per
-    # such trial.  The other trials, those whose target fails the dense
-    # fixed-point test, draw nothing past their mu and never run.
+def spy_on_run_block(monkeypatch):
+    """Record the (starts, mus) of every block recovery_rate runs."""
     seen = []
     run_block = capacity.run_block
 
@@ -296,8 +326,16 @@ def test_recovery_rate_starts_match_per_trial_draws(monkeypatch):
         return run_block(engine, starts, k_max, mus)
 
     monkeypatch.setattr(capacity, "run_block", spy)
-    # above n = 10000 choice shuffles a tail instead of running Floyd's
-    # algorithm
+    return seen
+
+
+def test_recovery_rate_starts_match_per_trial_draws(monkeypatch):
+    # the block's columns are exactly the trials whose target is a fixed
+    # point of T, in trial order, each flipped at the set block_draws
+    # replays for it.  The other trials, those whose target fails the
+    # dense fixed-point test, draw nothing past their mu and never run.
+    seen = spy_on_run_block(monkeypatch)
+    # n = 12000 makes the block's flip bitmap far wider than it is tall
     k40, big = graphs.gen_complete(40), graphs.gen_erdos_renyi(12000, 6e-3, 1)
     skipped = ran = 0
     for g, m, rho, seed, trials in ((k40, 6, 0.1, 7, 25), (k40, 6, 0.45, 2**96 + 1, 25),
@@ -307,15 +345,49 @@ def test_recovery_rate_starts_match_per_trial_draws(monkeypatch):
         assert 0 < stable.sum() < m
         seen.clear()
         capacity.recovery_rate(g, p, rho, 1, trials=trials, seed=seed)
-        rng, drawn = block_draws(seed, trials, m)
+        drawn, held = block_draws(seed, trials, m, stable, g.n,
+                                  hopfield._flip_count(rho, g.n))
         want_mus = [mu for mu in drawn if stable[mu]]
-        want = [hopfield.corrupt(p.pattern(mu), rho, rng) for mu in want_mus]
+        want = [flipped(p.pattern(mu), flips) for mu, flips in zip(want_mus, held)]
         (starts, mus), = seen
         assert mus.tolist() == want_mus
         assert np.array_equal(starts, np.stack(want, axis=1))
         skipped += trials - len(want)
         ran += len(want)
     assert skipped and ran
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 120), rho=st.floats(0.0, 0.49), b=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 64))
+def test_recovery_rate_starts_flip_exactly_floor_rho_n(n, rho, b, seed):
+    # one pattern on K_n is a fixed point of T, so every trial runs
+    p = hopfield.sample_patterns(1, n, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = spy_on_run_block(mp)
+        capacity.recovery_rate(graphs.gen_complete(n), p, rho, 1, trials=b, seed=seed)
+    (starts, _), = seen
+    assert starts.shape == (n, b)
+    miss = (starts != p.pattern(0)[:, np.newaxis]).sum(axis=0)
+    assert (miss == hopfield._flip_count(rho, n)).all()
+
+
+def test_recovery_rate_flips_every_pair_evenly(monkeypatch):
+    # K_6, one stable pattern, k = floor(0.34 * 6) = 2: the 1500 trials'
+    # flipped pairs cover all 15 pairs, and their chi-square statistic
+    # against 100 per pair stays below 36.12, the 0.999 quantile of
+    # chi-square with 14 degrees of freedom
+    seen = spy_on_run_block(monkeypatch)
+    p = hopfield.sample_patterns(1, 6, 0)
+    capacity.recovery_rate(graphs.gen_complete(6), p, 0.34, 1, trials=1500, seed=0)
+    (starts, mus), = seen
+    counts = {}
+    for col in (starts != p.pattern(0)[:, np.newaxis]).T:
+        pair = tuple(np.flatnonzero(col))
+        counts[pair] = counts.get(pair, 0) + 1
+    assert sorted(counts) == sorted(itertools.combinations(range(6), 2))
+    chi2 = sum((c - 100) ** 2 / 100 for c in counts.values())
+    assert chi2 < 36.12
 
 
 def test_recovery_rate_seeds_as_seed_sequence_takes_them():

@@ -199,6 +199,35 @@ def test_int32_graph_arrays_give_the_same_results(ptr_dtype, idx_dtype, reps, mo
             assert np.array_equal(eng.sweep(s), brute_sweep(g, base, s))
 
 
+class MatmulLog(np.ndarray):
+    """An ndarray that records the ndim of every right operand of @."""
+
+    ndims = []
+
+    def __matmul__(self, other):
+        MatmulLog.ndims.append(np.ndim(other))
+        return np.asarray(self) @ other
+
+
+def test_complete_one_column_block_runs_as_a_state():
+    # on K_n a one-column block takes the 1-D state path and gets its
+    # column shape back: an (n, 1) float32 matmul was seen to raise a
+    # spurious "invalid value encountered in matmul"
+    rng = np.random.default_rng(3)
+    for n, m in ((2, 1), (17, 3), (40, 9), (300, 20)):
+        g = graphs.gen_complete(n)
+        p = hopfield.sample_patterns(m, n, int(rng.integers(2 ** 31)))
+        eng = hopfield.FieldEngine(g, p)
+        eng._xi = eng._xi.view(MatmulLog)
+        s = random_state(rng, n)
+        MatmulLog.ndims.clear()
+        col = eng.fields(s[:, np.newaxis])
+        assert MatmulLog.ndims == [1, 1]
+        assert col.dtype == np.int32 and col.shape == (n, 1)
+        assert np.array_equal(col[:, 0], eng.fields(s))
+        assert np.array_equal(col[:, 0], brute_fields(g, p, s))
+
+
 def check_all_block_shapes(eng, oracle, rng):
     """fields() on the all-ones state as one state, as a one-column block
     and in a block with a random and an all-minus column, against
