@@ -208,11 +208,12 @@ def _energy_block(engine: FieldEngine, xis: list, starts: list) -> tuple:
     pattern-signed state.  A trial's field is the sum over its columns of
     Xi o (A y), one np.add.reduceat; |(A y)_i| <= deg_i and M <= 4, so
     |h_i| <= 4 deg_i and every field is exact in int32.  The sequential
-    sweep runs every trial at once through hopfield._level_sweep: per
-    level, one product of A's level rows (all ones) with y, then the
-    level's new spins sgn(h) (sgn(0) = +1) and its rows of y rewritten.
-    y is held in level order, in int16 when the maximum degree is below
-    2^15, the bound on every partial sum of A y."""
+    sweep runs every trial at once through hopfield._run_sweep: per run,
+    one product of A's run rows (all ones) with y, then the run's new
+    spins sgn(h) (sgn(0) = +1) and its rows of y rewritten.  y is int16
+    when the maximum degree is below 2^15, the bound on every partial sum
+    of A y, and the engine's weights are then int16 too; K_n's engine
+    keeps no weights, so its ones are made here."""
     g = engine.g
     n, ms = g.n, [x.shape[0] for x in xis]
     xi = np.ascontiguousarray(np.concatenate(xis).T)
@@ -235,20 +236,18 @@ def _energy_block(engine: FieldEngine, xis: list, starts: list) -> tuple:
     h = trial_fields(s0)
     es0, et0, stepped = energy_s(s0, h), energy_t(h), _sign(h)
     del h
-    lv = g._levels
     dtype = np.int16 if int(g.degrees.max(initial=0)) < 2 ** 15 else np.int32
-    xl, sl = xi[lv.order], s0[lv.order]
-    y = (xl * sl[:, owner]).astype(dtype)
+    ones = engine._data if engine.storage == "csr" else np.ones(g.indices.size, dtype)
+    swept = s0.copy()
+    y = (xi * swept[:, owner]).astype(dtype)
 
     def update(lo, hi, ay):
-        ay *= xl[lo:hi]
-        sl[lo:hi] = _sign(np.add.reduceat(ay, first, axis=1, dtype=np.int32))
-        return xl[lo:hi] * sl[lo:hi, owner]
+        ay *= xi[lo:hi]
+        swept[lo:hi] = _sign(np.add.reduceat(ay, first, axis=1, dtype=np.int32))
+        return xi[lo:hi] * swept[lo:hi, owner]
 
-    hopfield._level_sweep(lv, np.ones(lv.cols.size, dtype=dtype), y, update)
-    del y, xl
-    swept = np.empty_like(sl)
-    swept[lv.order] = sl
+    hopfield._run_sweep(g, ones, y, update)
+    del y
     es1, et1 = energy_s(swept, trial_fields(swept)), energy_t(trial_fields(stepped))
     return swept, stepped, np.column_stack([es0, es1, et0, et1])
 

@@ -106,17 +106,7 @@ def _write_json(path, config: ExperimentConfig, kind: str, payload: dict,
         "elapsed_seconds": elapsed,
     }
     doc.update(payload)
-    _write_text(path, json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _write_text(path, text: str) -> None:
@@ -301,10 +291,10 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int, rho: float,
 
     Predictors: N/log N (complete), pN/log N (gnp), d^2/(m_bar log N)
     (powerlaw).  Suite hypotheses are enforced up front: gnp needs
-    p >= c0 (log N)^2 / N at every size, powerlaw needs beta > 3 and
-    d > c_pl sqrt(m_bar) (log N)^(3/2) (or m_bar > (log N)^4 with the
-    weaker d > c_pl sqrt(m_bar) log N) and a feasible weight sequence,
-    max(w)^2 < sum(w).  Every size must be an integer >= 3 that appears
+    0 < p <= 1 and p >= c0 (log N)^2 / N at every size, powerlaw needs
+    beta > 3 and d > c_pl sqrt(m_bar) (log N)^(3/2) (or m_bar > (log N)^4
+    with the weaker d > c_pl sqrt(m_bar) log N) and a feasible weight
+    sequence, max(w)^2 < sum(w).  Every size must be an integer >= 3 that appears
     once, and every size is checked before any search runs.
     """
     if len(sizes) < 3:
@@ -317,6 +307,8 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int, rho: float,
         if n in sizes[:i]:
             raise ValueError(f"ladder size N={n} appears more than once")
     if suite == "gnp":
+        if not 0.0 < p <= 1.0:
+            raise ValueError(f"gnp suite needs 0 < p <= 1, got p={p}")
         for n in sizes:
             floor = c0 * math.log(n) ** 2 / n
             if p < floor:

@@ -12,7 +12,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
@@ -71,10 +71,10 @@ class Graph:
         return self.indices.size == self.n * (self.n - 1)
 
     @cached_property
-    def _levels(self) -> _Levels:
+    def _runs(self) -> tuple:
         # built on the first sequential sweep and kept: it depends only on
-        # the graph, so every engine on it shares one schedule
-        return _level_schedule(self)
+        # the graph, so every engine on it shares one set of runs
+        return _run_cuts(self)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -86,20 +86,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-class _Levels(NamedTuple):
-    """The rows of a graph in level order (see _level_schedule).  Level k
-    is the vertices order[cuts[k]:cuts[k + 1]].  Row r of the reordered CSR
-    is vertex order[r]: arcs[indptr[r]:indptr[r + 1]] are its arcs'
-    positions in the graph's indices, and cols, aligned with arcs, holds
-    each arc's target as a row of the reordered CSR."""
-
-    order: np.ndarray
-    cuts: tuple
-    arcs: np.ndarray
-    indptr: np.ndarray
-    cols: np.ndarray
-
-
 def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """The ranges [starts[k], stops[k]) concatenated into one array."""
     lengths = stops - starts
@@ -107,37 +93,24 @@ def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
 
 
-def _level_schedule(g: Graph) -> _Levels:
-    """Levels for the index-order sweep.  Vertex j's level is 0 when it has
-    no neighbour of lower index, and otherwise 1 + the largest level among
-    those neighbours.  So no two adjacent vertices share a level, every
-    lower-indexed neighbour of a vertex sits on an earlier level and every
-    higher-indexed one on a later level: updating whole levels in turn is
-    the index-order sweep.  The levels are Kahn waves over the arcs i -> j,
-    i < j; within a level, vertices keep index order."""
-    n, indptr, indices = g.n, g.indptr, g.indices
-    src, dst = edge_endpoints(g)
-    lower = np.bincount(src[dst < src], minlength=n)
-    pending = lower.copy()
-    level = np.empty(n, dtype=np.int64)
-    wave, depth = np.flatnonzero(lower == 0), 0
-    while wave.size:
-        level[wave] = depth
-        # rows are sorted, so a vertex's higher neighbours end its row
-        above = indices[_spans(indptr[wave] + lower[wave], indptr[wave + 1])]
-        above, hits = np.unique(above, return_counts=True)
-        pending[above] -= hits
-        wave, depth = above[pending[above] == 0], depth + 1
-    order = np.argsort(level, kind="stable")
-    cuts = np.searchsorted(level[order], np.arange(depth + 1))
-    row = np.empty(n, dtype=np.int64)
-    row[order] = np.arange(n)
-    arcs = _spans(indptr[order], indptr[order + 1])
-    out = _Levels(order, tuple(cuts.tolist()), arcs,
-                  np.concatenate(([0], np.cumsum(g.degrees[order]))), row[indices[arcs]])
-    for a in (out.order, out.arcs, out.indptr, out.cols):
-        a.setflags(write=False)
-    return out
+def _run_cuts(g: Graph) -> tuple:
+    """Cuts 0 = c_0 < ... < c_k = n of the index order into maximal runs of
+    consecutive vertices with no edge inside a run.  Scanning upward,
+    vertex j starts a new run when its largest lower-indexed neighbour lies
+    in the current run.  So every lower-indexed neighbour of a vertex sits
+    in an earlier run and every higher-indexed one in a later run: updating
+    whole runs in turn is the index-order sweep.  The neighbours are read
+    off the arcs in blocks of _ARC_CHUNK, then one pass over the vertices
+    places the cuts."""
+    low = np.full(g.n, -1, dtype=np.int64)
+    for _, _, src, dst in _arc_blocks(g, _ARC_CHUNK):
+        below = dst < src
+        np.maximum.at(low, src[below], dst[below])
+    cuts = []
+    for j, i in enumerate(low.tolist()):
+        if not cuts or i >= cuts[-1]:
+            cuts.append(j)
+    return tuple(cuts + [g.n])
 
 
 @dataclass(frozen=True)

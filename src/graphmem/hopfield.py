@@ -116,15 +116,16 @@ def _product(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
         _sparsetools.csr_matvecs(rows, n, b, indptr, indices, data, x, out)
 
 
-def _level_sweep(lv, data: np.ndarray, y: np.ndarray, update) -> None:
-    """Sweep the (n, B) block y, held in the level order lv
-    (graphs._level_schedule): level by level, rows lo:hi of y become
-    update(lo, hi, P), P the product of the level's rows (weights data,
-    aligned with lv.cols) with y, in y's type.  A level's vertices are
-    pairwise non-adjacent, so this is exactly the index-order sweep."""
+def _run_sweep(g: Graph, data: np.ndarray, y: np.ndarray, update) -> None:
+    """Sweep the (n, B) block y in index order, a run of g at a time
+    (Graph._runs): rows lo:hi of y become update(lo, hi, P), P the product
+    of the run's rows of J (weights data, aligned with g.indices) with y,
+    in y's type.  No two vertices of a run are adjacent, so this is exactly
+    the index-order sweep."""
     p = np.zeros_like(y)
-    for lo, hi in zip(lv.cuts[:-1], lv.cuts[1:]):
-        _product(lv.indptr[lo:hi + 1], lv.cols, data, y, p[lo:hi])
+    cuts = g._runs
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        _product(g.indptr[lo:hi + 1], g.indices, data, y, p[lo:hi])
         y[lo:hi] = update(lo, hi, p[lo:hi])
 
 
@@ -240,13 +241,6 @@ class FieldEngine:
         return out.astype(np.int32, copy=False).reshape(s.shape)
 
     @cached_property
-    def _level_data(self) -> np.ndarray:
-        """J's weights in the graph's level order, aligned with
-        g._levels.cols; gathered on the first sweep, so engines that never
-        sweep pay nothing."""
-        return self._data[self.g._levels.arcs]
-
-    @cached_property
     def _targets(self) -> np.ndarray:
         """For each stored pattern xi^mu, whether it is a fixed point of T,
         read off the exact (n, M) product H = J Xi^T; computed on first use,
@@ -260,10 +254,10 @@ class FieldEngine:
         keeps u = Xi s and adds 2 s_i Xi[:, i] when spin i flips to s_i, so
         a vertex costs O(M); u's entries are integers of magnitude <= n.
 
-        On "csr" it runs _level_sweep with the +-1 state in level order:
-        a level's new spins are the signs of its product.  Every partial
-        sum of J s is bounded by r_i, so both storages compute in the
-        type, and under the bound, of fields()."""
+        On "csr" it runs _run_sweep on the +-1 state: a run's new spins
+        are the signs of its product.  Every partial sum of J s is bounded
+        by r_i, so both storages compute in the type, and under the bound,
+        of fields()."""
         out = np.array(s, dtype=np.int8)
         if self.storage == "complete":
             u = self._xi @ out.astype(self._xi.dtype)
@@ -273,12 +267,10 @@ class FieldEngine:
                     out[i] = new
                     u += 2 * new * col
             return out
-        lv = self.g._levels
-        y = out[lv.order, np.newaxis].astype(self._level_data.dtype)
+        y = out[:, np.newaxis].astype(self._data.dtype)
         # sgn(h) | 1 is _sign in y's type: sgn(0) = 0 becomes +1
-        _level_sweep(lv, self._level_data, y, lambda lo, hi, h: np.sign(h) | 1)
-        out[lv.order] = y[:, 0]
-        return out
+        _run_sweep(self.g, self._data, y, lambda lo, hi, h: np.sign(h) | 1)
+        return y[:, 0].astype(np.int8)
 
 
 def _sign(h: np.ndarray) -> np.ndarray:

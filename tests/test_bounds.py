@@ -501,10 +501,10 @@ def test_energy_check_matches_per_trial_engines(g, block, monkeypatch):
         assert len(calls) == 1
     if g.is_complete:
         # K_n's adjacency engine takes the "complete" storage, and its
-        # sweep runs over level data of ones, one vertex per level
+        # sweep runs over weights of ones, one vertex per run
         assert hopfield.FieldEngine(g, hopfield.PatternSet(np.ones((1, g.n), np.int8))
                                     ).storage == "complete"
-        assert len(g._levels.cuts) == g.n + 1
+        assert len(g._runs) == g.n + 1
     if g.edge_count == 0:
         assert np.all(want[2] == 1) and np.all(want[3] == 1)    # sgn(0) = +1
     assert np.all(want[4][:, 1] <= want[4][:, 0])

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -388,6 +389,22 @@ def test_gnp_suite_density_floor_enforced(tmp_path):
                    "--out", str(tmp_path / "r.csv")) == 2
 
 
+@pytest.mark.parametrize("p", ["0", "-0.1", "1.5", "nan"])
+def test_gnp_suite_checks_p_before_any_search(tmp_path, monkeypatch, capsys, p):
+    # with c0 = 0 the density floor admits p = 0, whose predictor p N / log N
+    # is 0; the p range must be refused before the first search
+    def no_search(*args, **kwargs):
+        raise AssertionError("capacity_search ran before p was checked")
+
+    monkeypatch.setattr(cli.capacity_mod, "capacity_search", no_search)
+    out = tmp_path / "r.csv"
+    assert run_cli("reproduce", "--suite", "gnp", "--p", p, "--c0", "0",
+                   "--sizes", "64,96,128", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: gnp suite needs 0 < p <= 1, got p={float(p)}\n"
+    assert not out.exists()
+
+
 def test_powerlaw_weights_checked_before_any_search(tmp_path, monkeypatch, capsys):
     # the default m_bar = 128 is infeasible at N = 512 and N = 256; with
     # those sizes last the run must still fail before searching N = 1024
@@ -478,6 +495,34 @@ def test_reproduce_complete_suite(tmp_path):
     assert [row[0] for row in body] == ["48", "64", "96"]
     for row in body:
         assert int(row[6]) >= 1      # m_hat column
+
+
+@pytest.mark.parametrize("argv, predictor", [
+    (["--suite", "gnp", "--sizes", "64,96,128", "--p", "0.3"],
+     lambda n: 0.3 * n / math.log(n)),
+    (["--suite", "powerlaw", "--sizes", "300,400,500", "--davg", "16", "--mbar", "40"],
+     lambda n: 16.0 ** 2 / (40.0 * math.log(n))),
+], ids=["gnp", "powerlaw"])
+def test_reproduce_sparse_suite_end_to_end(tmp_path, argv, predictor):
+    # the whole ladder runs: every row carries the suite's predictor and
+    # m_hat over it, and a rerun writes the same bytes
+    texts = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        assert run_cli("reproduce", *argv, "--trials", "20", "--seed", "1",
+                       "--out", str(out)) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    lines = texts[0].splitlines()
+    assert lines[2].startswith("# slope=") and lines[3].startswith("# ratio_spread=")
+    header = lines[4].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[5:]]
+    assert [r["n"] for r in rows] == argv[3].split(",")
+    for r in rows:
+        m_hat, x = int(r["m_hat"]), predictor(int(r["n"]))
+        assert m_hat >= 1
+        assert float(r["predictor"]) == x
+        assert float(r["ratio"]) == m_hat / x
 
 
 def reproduce_params(*argv):

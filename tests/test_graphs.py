@@ -449,15 +449,15 @@ def pairs_graph(n, pairs):
     return graphs._from_pairs(n, e[:, 0], e[:, 1])
 
 
-def oracle_levels(g):
-    """Each vertex's sweep level by its definition, in index order: 0
-    with no lower-indexed neighbour, else 1 + the largest level among them,
-    so the level count is 1 + the longest index-increasing path."""
-    level = np.zeros(g.n, dtype=np.int64)
-    for j in range(g.n):
-        lower = nbrs(g, j)[nbrs(g, j) < j]
-        level[j] = 1 + level[lower].max() if lower.size else 0
-    return level
+def oracle_runs(g):
+    """The run cuts by their definition, in plain Python: scanning j
+    upward, j starts a new run when it has a lower-indexed neighbour in
+    the current run."""
+    cuts = [0]
+    for j in range(1, g.n):
+        if any(cuts[-1] <= i < j for i in nbrs(g, j).tolist()):
+            cuts.append(j)
+    return cuts + [g.n] if g.n else cuts
 
 
 @settings(max_examples=100, deadline=None)
@@ -467,42 +467,38 @@ def oracle_levels(g):
 @example(pairs_graph(12, [(j, 11) for j in range(11)]))
 @example(pairs_graph(12, []))
 @example(graphs.gen_complete(1))
-def test_level_schedule_matches_its_definition(g):
-    lv = g._levels
-    assert lv.cuts[0] == 0 and lv.cuts[-1] == g.n
-    assert all(lo < hi for lo, hi in zip(lv.cuts[:-1], lv.cuts[1:]))
-    level = np.empty(g.n, dtype=np.int64)
-    for k, (lo, hi) in enumerate(zip(lv.cuts[:-1], lv.cuts[1:])):
-        assert np.all(np.diff(lv.order[lo:hi]) > 0)     # index order within a level
-        level[lv.order[lo:hi]] = k
-    assert np.array_equal(level, oracle_levels(g))
+@example(pairs_graph(0, []))
+def test_runs_match_their_definition(g):
+    cuts = g._runs
+    assert list(cuts) == oracle_runs(g)
+    assert cuts[0] == 0 and cuts[-1] == g.n
+    assert all(lo < hi for lo, hi in zip(cuts[:-1], cuts[1:]))
+    run = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
     src, dst = graphs.edge_endpoints(g)
-    assert np.all(level[src] != level[dst])
-    # row r of the reordered CSR is vertex order[r] with its own arcs
-    assert lv.indptr[0] == 0
-    for r, v in enumerate(lv.order):
-        arcs = lv.arcs[lv.indptr[r]:lv.indptr[r + 1]]
-        assert np.array_equal(g.indices[arcs], nbrs(g, v))
-        assert np.array_equal(lv.order[lv.cols[lv.indptr[r]:lv.indptr[r + 1]]],
-                              nbrs(g, v))
+    assert np.all(run[src] != run[dst])         # no edge inside a run
+    # every cut is forced: its vertex has a neighbour in the run it ends
+    for lo, hi in zip(cuts[:-2], cuts[1:-1]):
+        assert np.any((nbrs(g, hi) >= lo) & (nbrs(g, hi) < hi))
 
 
 ZIGZAG = [v for k in range(6) for v in (k, 11 - k)]
 
 
-@pytest.mark.parametrize("pairs,levels", [
+@pytest.mark.parametrize("pairs,runs", [
     ([(i, i + 1) for i in range(11)], 12),
-    # the path 0, 11, 1, 10, 2, 9, ...: every vertex is a local extreme
+    # the path 0, 11, 1, 10, 2, 9, ...: 0..5 see only higher vertices
     ([tuple(sorted(e)) for e in zip(ZIGZAG[:-1], ZIGZAG[1:])], 2),
     ([(0, j) for j in range(1, 12)], 2),
     ([(j, 11) for j in range(11)], 2),
-    ([(i, j) for c in (range(4), range(4, 9)) for i in c for j in c if i < j], 5),
+    # each of 0..3 ends a run, 4 joins 3's, each of 5..8 ends one, and
+    # the isolated 9..11 join 8's
+    ([(i, j) for c in (range(4), range(4, 9)) for i in c for j in c if i < j], 8),
     ([], 1),
 ], ids=["path", "path_zigzag", "star_first", "star_last", "cliques", "edgeless"])
-def test_level_count_is_one_more_than_the_longest_increasing_path(pairs, levels):
+def test_run_count(pairs, runs):
     g = pairs_graph(12, pairs)
-    assert len(g._levels.cuts) - 1 == levels
-    assert g._levels is g._levels
+    assert len(g._runs) - 1 == runs
+    assert g._runs is g._runs
 
 
 def test_integer_fields_are_ascii_digits(tmp_path):

@@ -438,8 +438,9 @@ def check_sweep_type(eng, g, reps):
         assert eng._data.dtype == (np.int16 if reps == 1 else np.int32)
 
 
-# the CSR sweep runs level by level (graphs._level_schedule): these graphs
-# take n levels (path), 2 (stars), the largest clique's size, and 1
+# the CSR sweep runs by edge-free runs of the index order (Graph._runs):
+# these graphs take n runs (path), 2 (stars), 1 plus the sum of each
+# clique's size less one, and 1
 SWEEP_GRAPHS = {
     "path": pairs_graph(13, [(i, i + 1) for i in range(12)]),
     "star_first": pairs_graph(13, [(0, j) for j in range(1, 13)]),
@@ -523,8 +524,8 @@ def test_sweep_cascades_along_a_path(reps):
 
 def test_sweep_builds_one_schedule_per_graph_and_only_when_it_sweeps(monkeypatch):
     calls = []
-    build = graphs._level_schedule
-    monkeypatch.setattr(graphs, "_level_schedule", lambda g: calls.append(g) or build(g))
+    build = graphs._run_cuts
+    monkeypatch.setattr(graphs, "_run_cuts", lambda g: calls.append(g) or build(g))
     rng = np.random.default_rng(15)
     g = graphs.gen_erdos_renyi(60, 0.2, 4)
     engines = [hopfield.FieldEngine(g, hopfield.sample_patterns(m, g.n, m)) for m in (3, 5)]
@@ -536,12 +537,11 @@ def test_sweep_builds_one_schedule_per_graph_and_only_when_it_sweeps(monkeypatch
         hopfield.run_dynamics(g, eng.p, block[:, 0], k_max=10, engine=eng)
         hopfield.energy_S(eng, block[:, 0])
     assert calls == []
-    # each engine gathers its own weights into the one shared level order
+    # each engine sweeps its own weights over the one shared set of runs
     for eng in engines:
         for s in block.T:
             assert np.array_equal(eng.sweep(s), brute_sweep(g, eng.p, s))
     assert calls == [g]
-    assert engines[0]._level_data is not engines[1]._level_data
 
 
 def test_energy_never_increases():
