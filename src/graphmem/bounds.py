@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hopfield
-from .graphs import Graph, _erdos_renyi_pairs, _spans, edge_endpoints, gen_erdos_renyi
+from .graphs import Graph, _erdos_renyi_pairs, edge_endpoints, gen_erdos_renyi
 from .hopfield import FieldEngine, PatternSet, _sign, sample_patterns
 from .spectral import SpectralSummary
 
@@ -127,18 +127,17 @@ def _form_values(g: Graph, samples: int, seed) -> np.ndarray:
     Rows are held as 0/1 bits, drawn _DRAW_CHUNK signs at a time; each
     _FORM_BLOCK of them becomes, on its own, the columns of a sign block
     x, and one call of hopfield's CSR kernel with U's arcs (all ones)
-    gives U x.  The CSR rows are sorted, so vertex i's arcs to higher
-    vertices end its row, and each edge is taken once.  |(U x)_i| <= max
+    gives U x.  U's arcs are the arcs i -> j of edge_endpoints with j > i,
+    still in CSR order, so each edge is taken once.  |(U x)_i| <= max
     degree, so U x and x o U x are exact in int16 while the max degree is
     below 2^15 (int32 otherwise), and the columns are summed in int64.
     The blocks are spread over hopfield's thread pool, and come back in
     order."""
-    n, indptr = g.n, g.indptr
+    n = g.n
     src, dst = edge_endpoints(g)
-    lower = np.bincount(src[dst < src], minlength=n)
-    arcs = _spans(indptr[:-1] + lower, indptr[1:])
-    up_ptr = np.concatenate(([0], np.cumsum(np.diff(indptr) - lower)))
-    up_cols = g.indices[arcs].astype(np.int64, copy=False)
+    up = dst > src
+    up_ptr = np.concatenate(([0], np.cumsum(np.bincount(src[up], minlength=n))))
+    up_cols = dst[up].astype(np.int64, copy=False)
     dtype = np.int16 if int(g.degrees.max(initial=0)) < 2 ** 15 else np.int32
     ones = np.ones(up_cols.size, dtype=dtype)
 
@@ -210,10 +209,9 @@ def _energy_block(engine: FieldEngine, xis: list, starts: list) -> tuple:
     |h_i| <= 4 deg_i and every field is exact in int32.  The sequential
     sweep runs every trial at once through hopfield._run_sweep: per run,
     one product of A's run rows (all ones) with y, then the run's new
-    spins sgn(h) (sgn(0) = +1) and its rows of y rewritten.  y is int16
-    when the maximum degree is below 2^15, the bound on every partial sum
-    of A y, and the engine's weights are then int16 too; K_n's engine
-    keeps no weights, so its ones are made here."""
+    spins sgn(h) (sgn(0) = +1) and its rows of y rewritten.  y and the
+    sweep's own array of ones are int16 when the maximum degree is below
+    2^15, the bound on every partial sum of A y, and int32 otherwise."""
     g = engine.g
     n, ms = g.n, [x.shape[0] for x in xis]
     xi = np.ascontiguousarray(np.concatenate(xis).T)
@@ -237,7 +235,7 @@ def _energy_block(engine: FieldEngine, xis: list, starts: list) -> tuple:
     es0, et0, stepped = energy_s(s0, h), energy_t(h), _sign(h)
     del h
     dtype = np.int16 if int(g.degrees.max(initial=0)) < 2 ** 15 else np.int32
-    ones = engine._data if engine.storage == "csr" else np.ones(g.indices.size, dtype)
+    ones = np.ones(g.indices.size, dtype)
     swept = s0.copy()
     y = (xi * swept[:, owner]).astype(dtype)
 

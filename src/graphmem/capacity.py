@@ -2,8 +2,8 @@
 
 The predictor M = alpha * lambda1^2 / (m log n) - kappa * lambda1 / m says
 how many patterns survive corrupted retrieval; rho_zero, f_rho and the
-four contraction sequences bound the error fraction the dynamics must
-shrink per step.  The empirical side estimates the largest pattern count M
+four contraction sequences, which iterate f's first four terms, bound the
+error fraction the dynamics must shrink per step.  The empirical side estimates the largest pattern count M
 whose recovery rate from floor(rho*n) uniform flips stays above a
 threshold.
 
@@ -123,6 +123,19 @@ def rho_zero(s: SpectralSummary, d: DegreeStats, M: int,
     return math.exp(-params.c2 * s.lambda1 / (s.kappa + M * d.m / s.lambda1))
 
 
+# f's four terms before rho_zero, in the order f_rho reports them (and
+# breaks ties between them) and predict_steps iterates them as w, x, y, z
+_TERMS = ("kappa_sq", "rho_entropy", "kappa_entropy", "pattern_term")
+
+
+def _terms(x: float, s: SpectralSummary, M: int, c: float) -> tuple:
+    """f's terms _TERMS at x, each scaled by c."""
+    ratio = s.kappa / s.lambda1
+    h = entropy(x)
+    return (c * x * ratio ** 2, c * x * h, c * ratio * h,
+            c * x * (M * s.kappa / s.lambda1 ** 2 * math.log(1.0 / x)) ** (2.0 / 3.0))
+
+
 def f_rho(rho: float, s: SpectralSummary, d: DegreeStats, M: int,
           params: TheoryParams = _DEFAULTS) -> FRhoResult:
     """Evaluate the five-branch contraction function
@@ -136,16 +149,8 @@ def f_rho(rho: float, s: SpectralSummary, d: DegreeStats, M: int,
     """
     if not 0.0 < rho < 0.5:
         raise ValueError("rho must lie in (0, 1/2)")
-    ratio = s.kappa / s.lambda1
-    h = entropy(rho)
-    branches = {
-        "kappa_sq": params.c1 * rho * ratio ** 2,
-        "rho_entropy": params.c1 * rho * h,
-        "kappa_entropy": params.c1 * ratio * h,
-        "pattern_term": params.c1 * rho * (M * s.kappa / s.lambda1 ** 2
-                                           * math.log(1.0 / rho)) ** (2.0 / 3.0),
-        "rho_zero": rho_zero(s, d, M, params),
-    }
+    branches = dict(zip(_TERMS, _terms(rho, s, M, params.c1)))
+    branches["rho_zero"] = rho_zero(s, d, M, params)
     branch = max(branches, key=branches.get)
     return FRhoResult(value=branches[branch], branch=branch, branches=branches)
 
@@ -153,6 +158,7 @@ def f_rho(rho: float, s: SpectralSummary, d: DegreeStats, M: int,
 def predict_steps(s: SpectralSummary, M: int, n: int, rho_start: float,
                   params: TheoryParams = _DEFAULTS) -> StepPrediction:
     """Iterate the four contraction sequences from rho_start down to 1/n.
+    They are f's first four terms (_terms) with c = c_steps in place of c1:
 
         w' = c w (kappa/lambda1)^2          x' = c x h(x)
         y' = c (kappa/lambda1) h(y)         z' = c z (M kappa/lambda1^2 log(1/z))^(2/3)
@@ -169,36 +175,21 @@ def predict_steps(s: SpectralSummary, M: int, n: int, rho_start: float,
         raise ValueError("M must be >= 1")
     if s.lambda1 <= 0:
         raise ValueError("lambda1 must be positive")
-    ratio = s.kappa / s.lambda1
     need = math.log(n)
     if s.kappa > 0 and s.lambda1 / s.kappa <= need:
         raise ValueError(f"lambda1/kappa = {s.lambda1 / s.kappa:.3g} "
                          f"below the required ratio {need:.3g}")
-    c = params.c_steps
     target = 1.0 / n
-
-    def w_next(w):
-        return c * w * ratio ** 2
-
-    def x_next(x):
-        return c * x * entropy(x)
-
-    def y_next(y):
-        return c * ratio * entropy(y)
-
-    def z_next(z):
-        return c * z * (M * s.kappa / s.lambda1 ** 2 * math.log(1.0 / z)) ** (2.0 / 3.0)
-
     counts = {}
     diverged = False
-    for name, step in (("w", w_next), ("x", x_next), ("y", y_next), ("z", z_next)):
+    for i, name in enumerate("wxyz"):
         val = rho_start
         k = 0
         while val >= target:
             if k >= _DIVERGE_CAP:
                 diverged = True
                 break
-            nxt = step(val)
+            nxt = _terms(val, s, M, params.c_steps)[i]
             if not nxt < val:
                 diverged = True
                 break

@@ -86,13 +86,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
-def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The ranges [starts[k], stops[k]) concatenated into one array."""
-    lengths = stops - starts
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
-
-
 def _run_cuts(g: Graph) -> tuple:
     """Cuts 0 = c_0 < ... < c_k = n of the index order into maximal runs of
     consecutive vertices with no edge inside a run.  Scanning upward,
@@ -237,8 +230,6 @@ def _erdos_renyi_pairs(n: int, p: float, seed) -> tuple[np.ndarray, np.ndarray] 
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if p == 0.0 or n == 1:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
     if p == 1.0:
         return None
     return _edge_pairs(np.ones(n), p, np.random.default_rng(seed))

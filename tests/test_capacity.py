@@ -132,6 +132,33 @@ def test_predict_steps_matches_recursion_oracle():
     assert pred.counts["w"] == want_w == 2
 
 
+def test_f_rho_and_predict_steps_keep_their_own_constants():
+    # f_rho scales its terms by c1 and predict_steps by c_steps; at c = 0.8
+    # the x and y counts (6, 5) differ from those at c = 0.5 (5, 4)
+    s, d, M, n = summary(1000.0, 10.0), stats(1000), 10, 10 ** 6
+    params = capacity.TheoryParams(c1=0.5, c_steps=0.8)
+    rho = 0.1
+    res = capacity.f_rho(rho, s, d, M, params)
+    h = bounds.entropy(rho)
+    want = {
+        "kappa_sq": 0.5 * rho * (10.0 / 1000.0) ** 2,
+        "rho_entropy": 0.5 * rho * h,
+        "kappa_entropy": 0.5 * (10.0 / 1000.0) * h,
+        "pattern_term": 0.5 * rho * (M * 10.0 / 1000.0 ** 2 * math.log(1 / rho)) ** (2 / 3),
+        "rho_zero": capacity.rho_zero(s, d, M, params),
+    }
+    assert list(res.branches) == list(want)
+    for name, val in want.items():
+        assert res.branches[name] == pytest.approx(val)
+    assert res.branch == max(want, key=want.get)
+    pred = capacity.predict_steps(s, M, n, 1.0 / math.e, params)
+    want_counts = oracle_counts(1000.0, 10.0, M, n, 1.0 / math.e, c=0.8)
+    assert want_counts != oracle_counts(1000.0, 10.0, M, n, 1.0 / math.e, c=0.5)
+    assert not pred.diverged
+    assert pred.counts == want_counts
+    assert pred.n0 == max(want_counts.values())
+
+
 def test_predict_steps_monotone_in_gap():
     # a larger lambda1/kappa ratio never needs more iterations
     prev = None

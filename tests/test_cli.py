@@ -129,6 +129,16 @@ def test_config_echo_round_trip(tmp_path):
     assert "worker_count" not in echoed
 
 
+def test_config_echo_of_csv_artifacts(tmp_path):
+    for name, command, seed in (("capacity.csv", "capacity", 11),
+                                ("reproduce.csv", "reproduce", 5)):
+        echoed = cli.parse_config_echo((GOLDEN / name).read_text())
+        assert echoed["command"] == command and echoed["master_seed"] == seed
+        assert echoed["format"] == "csv"
+    with pytest.raises(ValueError, match="no config echo found"):
+        cli.parse_config_echo(gen_graph_file(tmp_path).read_text())
+
+
 def test_dynamics_report(tmp_path):
     gpath = gen_graph_file(tmp_path)
     out = tmp_path / "dyn.json"
@@ -417,6 +427,36 @@ def test_powerlaw_weights_checked_before_any_search(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "max weight squared" in err and "N=512" in err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_powerlaw_degree_hypothesis_checked_before_any_search(tmp_path, monkeypatch,
+                                                              capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("capacity_search ran before the hypothesis was checked")
+
+    monkeypatch.setattr(cli.capacity_mod, "capacity_search", no_search)
+    out = tmp_path / "r.csv"
+    assert run_cli("reproduce", "--suite", "powerlaw", "--sizes", "300,400,500",
+                   "--davg", "16", "--mbar", "40", "--c-pl", "100", "--trials", "5",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: powerlaw suite needs d > c sqrt(m_bar)")
+    assert "violated at N=300" in err
+    assert not out.exists()
+
+
+def test_reproduce_without_two_recovered_sizes_fits_nothing(tmp_path):
+    # G(N, 0.02) at these sizes stores no pattern, so no row enters the fit
+    out = tmp_path / "r.csv"
+    assert run_cli("reproduce", "--suite", "gnp", "--sizes", "40,50,60",
+                   "--p", "0.02", "--c0", "0", "--trials", "5", "--seed", "0",
+                   "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    assert lines[2:4] == ["# slope=nan", "# ratio_spread=nan"]
+    header = lines[4].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[5:]]
+    assert [r["n"] for r in rows] == ["40", "50", "60"]
+    assert all(r["m_hat"] == "0" for r in rows)
 
 
 @pytest.mark.parametrize("sizes, bad", [

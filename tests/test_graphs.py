@@ -75,6 +75,14 @@ def test_gnp_extreme_p():
     assert g1 == graphs.gen_complete(20)
 
 
+def test_gnp_without_pairs_draws_nothing():
+    # p = 0 and n = 1 go through the sampler, which draws no number
+    for n, p in ((7, 0.0), (1, 0.3)):
+        rng = np.random.default_rng(5)
+        assert graphs.gen_erdos_renyi(n, p, rng).edge_count == 0
+        assert rng.random() == np.random.default_rng(5).random()
+
+
 def test_subnormal_probabilities_draw_no_edge_without_warning():
     # log1p(-p) is subnormal too, so the geometric skip overflows to +inf
     with warnings.catch_warnings():
@@ -287,6 +295,11 @@ def test_two_cliques_structure():
         graphs.gen_two_cliques(1, 10)
     with pytest.raises(ValueError):
         graphs.gen_two_cliques(9, 10)
+
+
+def test_degree_stats_on_edgeless_graphs():
+    for g in (graphs.gen_erdos_renyi(7, 0.0, 0), graphs.gen_complete(1)):
+        assert graphs.degree_stats(g) == graphs.DegreeStats(0, 0, 0.0, 0.0, 0)
 
 
 def test_degree_stats_on_path(tmp_path):
