@@ -36,6 +36,18 @@ ARTIFACT_RUNS = [
     ["theory", "--graph", "g.txt", "--m", "3", "--out", "theory.json"],
     ["verify", "--check", "energy", "--graph", "g.txt", "--trials", "20",
      "--seed", "3", "--out", "energy.json"],
+    ["verify", "--check", "tails", "--graph", "g.txt", "--samples", "2000",
+     "--seed", "3", "--out", "tails.json"],
+    ["verify", "--check", "mgf", "--graph", "g.txt", "--samples", "2000",
+     "--seed", "3", "--out", "mgf.json"],
+    ["verify", "--check", "tails", "--graph", "tc.txt", "--samples", "1000",
+     "--out", "tails_tc.json"],
+    ["verify", "--check", "mgf", "--graph", "tc.txt", "--samples", "1000",
+     "--out", "mgf_tc.json"],
+    ["verify", "--check", "subgraph", "--graph", "g.txt", "--trials", "20",
+     "--seed", "3", "--out", "subgraph.json"],
+    ["verify", "--check", "degrees", "--n", "300", "--p", "0.1", "--trials",
+     "10", "--seed", "3", "--out", "degrees.json"],
     ["reproduce", "--suite", "complete", "--sizes", "16,24,32", "--trials", "20",
      "--threshold", "0.9", "--seed", "5", "--out", "reproduce.csv"],
 ]
