@@ -43,8 +43,7 @@ from .hopfield import (
 )
 from .bounds import (
     DegreeTailReport,
-    MgfReport,
-    TailReport,
+    FormReport,
     degree_tail_experiment,
     entropy,
     mgf_bound,
@@ -76,9 +75,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "CapacityEstimate", "ConditionReport", "CurvePoint",
     "DegreeStats", "DegreeTailReport", "DynamicsOutcome", "EdgeListParseError",
-    "ExperimentConfig", "FRhoResult", "FieldEngine", "Graph",
-    "InfeasibleWeightsError", "MgfReport", "PatternSet", "RateEstimate",
-    "SpectralSolverError", "SpectralSummary", "StepPrediction", "TailReport",
+    "ExperimentConfig", "FRhoResult", "FieldEngine", "FormReport", "Graph",
+    "InfeasibleWeightsError", "PatternSet", "RateEstimate",
+    "SpectralSolverError", "SpectralSummary", "StepPrediction",
     "TheoryParams", "WeightSequence", "adjacency_matrix",
     "capacity_search", "check_h1", "check_h2",
     "corrupt", "default_k_max", "degree_stats", "degree_tail_experiment",

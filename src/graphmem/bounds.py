@@ -75,10 +75,10 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[f
 
 
 @dataclass(frozen=True)
-class TailReport:
-    """Empirical vs analytic survival of the edge quadratic form."""
+class FormReport:
+    """Empirical vs analytic values of the edge quadratic form's tail or
+    moment generating function, one row per grid point."""
 
-    y_grid: np.ndarray
     empirical: np.ndarray      # columns: estimate, ci_lo, ci_hi
     analytic: np.ndarray
     violations: int
@@ -87,25 +87,10 @@ class TailReport:
 
 
 @dataclass(frozen=True)
-class MgfReport:
-    """Empirical vs analytic moment generating function of the form."""
-
-    t_grid: np.ndarray
-    empirical: np.ndarray      # columns: estimate, ci_lo, ci_hi
-    analytic: np.ndarray
-    violations: int
-    method: str
-    samples: int
-
-
-@dataclass(frozen=True)
 class DegreeTailReport:
     """Frequencies of extreme-degree events in G(n, p) against the
     union-bound predictions."""
 
-    n: int
-    p: float
-    trials: int
     epsilon: float
     upper_threshold: float
     lower_threshold: float
@@ -268,8 +253,27 @@ def mgf_bound(t: float, l: int, lambda1: float) -> float:
     return math.exp(l * t * t / (2.0 * (1.0 - lambda1 * t)))
 
 
+def _compare(g: Graph, grid, bound, samples: int, seed, exact, sampled) -> FormReport:
+    """Check a statistic of S = x^T U x against bound(x) at each grid point
+    x.  When n <= _EXHAUSTIVE_LIMIT, exact(vals, x) over all 2^n sign
+    vectors gives the point and its interval; otherwise sampled(vals, x)
+    gives (estimate, ci_lo, ci_hi) from `samples` draws.  A grid point
+    counts as violated when its lower limit exceeds the bound."""
+    analytic = np.array([bound(x) for x in grid])
+    vals = _form_values(g, samples, seed)
+    if g.n <= _EXHAUSTIVE_LIMIT:
+        method = "exhaustive"
+        rows = [(e, e, e) for e in (exact(vals, x) for x in grid)]
+    else:
+        method = "monte_carlo"
+        rows = [sampled(vals, x) for x in grid]
+    emp = np.array(rows, dtype=float).reshape(-1, 3)
+    violations = int(np.count_nonzero(emp[:, 1] > analytic))
+    return FormReport(emp, analytic, violations, method, int(vals.size))
+
+
 def quadratic_form_tail(g: Graph, s: SpectralSummary, y_grid, samples: int,
-                        seed, z: float = 1.959964) -> TailReport:
+                        seed, z: float = 1.959964) -> FormReport:
     """Compare P[S > y] on a grid against the analytic tail bound.
 
     Exact enumeration when n <= 16, otherwise Monte Carlo with Wilson
@@ -281,60 +285,46 @@ def quadratic_form_tail(g: Graph, s: SpectralSummary, y_grid, samples: int,
         raise ValueError("y grid must be positive")
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    l = g.edge_count
-    analytic = np.array([tail_bound(y, l, s.lambda1) for y in y_grid])
-    vals = _form_values(g, samples, seed)
-    if g.n <= _EXHAUSTIVE_LIMIT:
-        p_exact = np.array([np.count_nonzero(vals > y) / vals.size for y in y_grid])
-        emp = np.column_stack([p_exact, p_exact, p_exact])
-        violations = int(np.count_nonzero(p_exact > analytic))
-        return TailReport(y_grid, emp, analytic, violations, "exhaustive", int(vals.size))
-    rows = []
-    violations = 0
-    for y, bound in zip(y_grid, analytic):
+
+    def exact(vals, y):
+        return np.count_nonzero(vals > y) / vals.size
+
+    def sampled(vals, y):
         k = int(np.count_nonzero(vals > y))
-        lo, hi = wilson_interval(k, samples, z)
-        rows.append((k / samples, lo, hi))
-        if lo > bound:
-            violations += 1
-    return TailReport(y_grid, np.asarray(rows), analytic, violations,
-                      "monte_carlo", samples)
+        return (k / vals.size, *wilson_interval(k, vals.size, z))
+
+    l = g.edge_count
+    return _compare(g, y_grid, lambda y: tail_bound(y, l, s.lambda1), samples,
+                    seed, exact, sampled)
 
 
 def mgf_check(g: Graph, s: SpectralSummary, t_grid, samples: int, seed,
-              z: float = 1.959964) -> MgfReport:
+              z: float = 1.959964) -> FormReport:
     """Compare E[exp(tS)] on a grid against the analytic bound.
 
     Every t must satisfy 0 <= t < 1/lambda1.  The Monte Carlo path gets its
-    confidence interval from the means of 100 batches.
+    confidence interval from the means of 100 batches, and draws (and
+    reports) the largest multiple of 100 samples, the most they use.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    l = g.edge_count
     for t in t_grid:
         if t < 0 or s.lambda1 * t >= 1.0:
             raise ValueError(f"t={t} outside [0, 1/lambda1)")
-    analytic = np.array([mgf_bound(t, l, s.lambda1) for t in t_grid])
-    vals = _form_values(g, samples, seed)
-    if g.n <= _EXHAUSTIVE_LIMIT:
-        exact = np.array([np.mean(np.exp(t * vals)) for t in t_grid])
-        emp = np.column_stack([exact, exact, exact])
-        violations = int(np.count_nonzero(exact > analytic))
-        return MgfReport(t_grid, emp, analytic, violations, "exhaustive", int(vals.size))
-    use = (samples // _MGF_BATCHES) * _MGF_BATCHES
-    per_batch = vals[:use].reshape(_MGF_BATCHES, -1)
-    rows = []
-    violations = 0
-    for t, bound in zip(t_grid, analytic):
-        means = np.exp(t * per_batch).mean(axis=1)
+
+    def exact(vals, t):
+        return np.mean(np.exp(t * vals))
+
+    def sampled(vals, t):
+        means = np.exp(t * vals.reshape(_MGF_BATCHES, -1)).mean(axis=1)
         est = float(means.mean())
         half = z * float(means.std(ddof=1)) / math.sqrt(_MGF_BATCHES)
-        rows.append((est, est - half, est + half))
-        if est - half > bound:
-            violations += 1
-    return MgfReport(t_grid, np.asarray(rows), analytic, violations,
-                     "monte_carlo", samples)
+        return est, est - half, est + half
+
+    l = g.edge_count
+    return _compare(g, t_grid, lambda t: mgf_bound(t, l, s.lambda1),
+                    samples // _MGF_BATCHES * _MGF_BATCHES, seed, exact, sampled)
 
 
 def _gnp_degrees(n: int, p: float, seed) -> np.ndarray:
@@ -388,7 +378,7 @@ def degree_tail_experiment(n: int, p: float, trials: int, seed,
     if lower_bound is not None and lo_ci[0] > lower_bound:
         violations += 1
     return DegreeTailReport(
-        n=n, p=p, trials=trials, epsilon=eps,
+        epsilon=eps,
         upper_threshold=up_t, lower_threshold=lo_t,
         max_exceed_freq=hi_hits / trials, max_exceed_ci=up_ci,
         min_exceed_freq=lo_hits / trials, min_exceed_ci=lo_ci,

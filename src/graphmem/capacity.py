@@ -3,9 +3,9 @@
 The predictor M = alpha * lambda1^2 / (m log n) - kappa * lambda1 / m says
 how many patterns survive corrupted retrieval; rho_zero, f_rho and the
 four contraction sequences, which iterate f's first four terms, bound the
-error fraction the dynamics must shrink per step.  The empirical side estimates the largest pattern count M
-whose recovery rate from floor(rho*n) uniform flips stays above a
-threshold.
+error fraction the dynamics must shrink per step.  The empirical side
+estimates the largest pattern count M whose recovery rate from
+floor(rho*n) uniform flips stays above a threshold.
 
 Success means exact recovery: the run ends in a fixed point equal to the
 target pattern.  Corruption draws are uniform over floor(rho*n)-subsets,

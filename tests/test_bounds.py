@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -197,6 +198,32 @@ def test_mgf_monte_carlo_on_large_graph():
     assert np.all(rep.empirical[:, 0] >= 1.0 - 1e-9) or rep.empirical[0, 0] == pytest.approx(1.0)
 
 
+def test_mgf_check_draws_only_the_samples_its_batches_use():
+    # the 100 batch means use 1000 of 1099 samples, and a shorter int8 draw
+    # is a prefix of a longer one, so the report is the 1000-sample one
+    g = graphs.gen_erdos_renyi(60, 0.2, 4)
+    s = spectral.spectrum_summary(g)
+    grid = np.linspace(0.0, 0.5 / s.lambda1, 6)
+    a = bounds.mgf_check(g, s, grid, 1099, 0)
+    b = bounds.mgf_check(g, s, grid, 1000, 0)
+    for field in dataclasses.fields(bounds.FormReport):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+    assert a.samples == 1000
+
+
+def test_mgf_detector_fires_on_understated_spectrum():
+    # on K_3, S is 3 on two of the eight states and -1 elsewhere; an
+    # understated top eigenvalue shrinks the bound below the exact MGF
+    g = graphs.gen_complete(3)
+    fake = spectral.SpectralSummary(lambda1=-1.4, kappa=1.4, method="dense",
+                                    residual=0.0)
+    rep = bounds.mgf_check(g, fake, [0.0, 1.0], 1000, 0)
+    assert rep.method == "exhaustive"
+    assert rep.empirical[1, 0] == pytest.approx((math.exp(3) + 3 * math.exp(-1)) / 4)
+    assert np.array_equal(rep.empirical[:, 0], rep.empirical[:, 1])
+    assert rep.violations == 1
+
+
 def int64_forms(g, bits):
     """S(x) = sum over edges {u, v} of x_u x_v in int64, for each row of
     0/1 bits turned into signs."""
@@ -376,10 +403,9 @@ DEGREE_REPORTS = {
 
 @pytest.mark.parametrize("args", list(DEGREE_REPORTS), ids=lambda a: "-".join(map(str, a)))
 def test_degree_tail_reports_are_unchanged(args):
-    n, p, trials, _ = args
     rec = DEGREE_REPORTS[args]
     want = bounds.DegreeTailReport(
-        n=n, p=p, trials=trials, epsilon=rec["epsilon"],
+        epsilon=rec["epsilon"],
         upper_threshold=rec["upper_threshold"], lower_threshold=rec["lower_threshold"],
         max_exceed_freq=0.0, max_exceed_ci=rec["ci"], min_exceed_freq=0.0,
         min_exceed_ci=rec["ci"], upper_bound=rec["upper_bound"],
