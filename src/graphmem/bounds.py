@@ -121,8 +121,10 @@ def _form_values(g: Graph, samples: int, seed) -> np.ndarray:
     n = g.n
     src, dst = edge_endpoints(g)
     up = dst > src
-    up_ptr = np.concatenate(([0], np.cumsum(np.bincount(src[up], minlength=n))))
-    up_cols = dst[up].astype(np.int64, copy=False)
+    up_cols = dst[up]
+    # offsets in the columns' own type, so the kernel converts neither
+    up_ptr = np.concatenate(([0], np.cumsum(np.bincount(src[up], minlength=n))),
+                            dtype=up_cols.dtype)
     dtype = np.int16 if int(g.degrees.max(initial=0)) < 2 ** 15 else np.int32
     ones = np.ones(up_cols.size, dtype=dtype)
 

@@ -2,8 +2,9 @@
 
 All graphs are finite, undirected and simple (no loops, no multi-edges),
 stored in CSR form with sorted neighbor lists.  Vertex labels are 0-based
-integers.  Randomized generators take an explicit seed and are
-deterministic given it.
+integers.  Every graph built here stores int32 ``indptr`` and ``indices``,
+so its arc count and its vertex labels stay below 2^31.  Randomized
+generators take an explicit seed and are deterministic given it.
 """
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ import numpy as np
 _ARC_CHUNK = 1 << 17
 # load_edge_list counts lines in reads of this many characters
 _READ_CHUNK = 1 << 16
+# the CSR arrays are int32: vertex and arc counts stay below this
+_INT32_LIMIT = 2 ** 31
 
 
 class EdgeListParseError(ValueError):
@@ -41,7 +44,9 @@ class Graph:
     The neighbors of vertex ``i`` are ``indices[indptr[i]:indptr[i+1]]``,
     sorted ascending.  Every undirected edge {i, j} appears twice, once in
     each endpoint's list.  The vertex count ``n`` and the ``degrees`` are
-    read off indptr.  Arrays are read-only; a Graph never mutates.
+    read off indptr.  The arrays are kept as given, in whatever integer
+    type (the generators and the loader give int32).  They are read-only;
+    a Graph never mutates.
     """
 
     indptr: np.ndarray
@@ -95,7 +100,9 @@ def _run_cuts(g: Graph) -> tuple:
     whole runs in turn is the index-order sweep.  The neighbours are read
     off the arcs in blocks of _ARC_CHUNK, then one pass over the vertices
     places the cuts."""
-    low = np.full(g.n, -1, dtype=np.int64)
+    # in the targets' own type: maximum.at is many times slower when it
+    # has to cast them
+    low = np.full(g.n, -1, dtype=g.indices.dtype)
     for _, _, src, dst in _arc_blocks(g, _ARC_CHUNK):
         below = dst < src
         np.maximum.at(low, src[below], dst[below])
@@ -171,35 +178,49 @@ class WeightSequence:
         return np.array_equal(self.weights, other.weights)
 
 
+def _check_arcs(arcs: int) -> None:
+    if arcs >= _INT32_LIMIT:
+        raise ValueError(f"{arcs} arcs: int32 CSR arrays hold fewer than 2^31")
+
+
 def _arc_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """One int64 key src * n + dst per arc of the undirected pairs
-    (u[k], v[k]), sorted: the order is by source, then target."""
-    keys = np.concatenate([u * n + v, v * n + u])
-    keys.sort()
+    (u[k], v[k]), unsorted (sorted, they order the arcs by source, then
+    target).  Both halves are written in place; the int64 n keeps the
+    products in int64 whatever the type of u and v."""
+    _check_arcs(2 * u.size)
+    n = np.int64(n)
+    keys = np.empty(2 * u.size, dtype=np.int64)
+    for a, b, out in ((u, v, keys[:u.size]), (v, u, keys[u.size:])):
+        np.multiply(a, n, out=out)
+        out += b
     return keys
 
 
 def _from_keys(n: int, keys: np.ndarray) -> Graph:
-    """Build CSR arrays from the sorted arc keys of a simple graph.  Reuses
-    ``keys`` as the targets."""
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    keys %= n
-    return Graph(indptr, keys)
+    """Build int32 CSR arrays from the sorted arc keys of a simple graph."""
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(np.int32)
+    indices = np.empty(keys.size, dtype=np.int32)
+    np.remainder(keys, np.int64(n), out=indices)
+    return Graph(indptr, indices)
 
 
 def _from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     """Build CSR arrays from unique undirected pairs (u[k] < v[k])."""
-    return _from_keys(n, _arc_keys(n, u, v))
+    keys = _arc_keys(n, u, v)
+    keys.sort()
+    return _from_keys(n, keys)
 
 
 def gen_complete(n: int) -> Graph:
     """Complete graph K_n."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_arcs(n * (n - 1))
     # row i's targets are j + (j >= i) for j < n - 1: every vertex but i
-    j = np.arange(n - 1, dtype=np.int64)
-    indices = (j + (j >= np.arange(n, dtype=np.int64)[:, None])).ravel()
-    return Graph(np.arange(n + 1, dtype=np.int64) * (n - 1), indices)
+    j = np.arange(n - 1, dtype=np.int32)
+    indices = (j + (j >= np.arange(n, dtype=np.int32)[:, None])).ravel()
+    return Graph(np.arange(n + 1, dtype=np.int32) * (n - 1), indices)
 
 
 def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
@@ -244,13 +265,15 @@ def _edge_pairs(weights, rho, rng) -> tuple[np.ndarray, np.ndarray]:
     probability P_ij / p_i, and lowers its bound to P_ij.  The bound holds
     because the weights are non-increasing.  Each round draws one uniform
     per live row for the skip and one per surviving row for the
-    acceptance, in ascending row order.
+    acceptance, in ascending row order.  Rows and targets stay int64 in
+    the loop, since numpy indexes more slowly with int32 arrays; each
+    round's edges are kept as int32.
     """
     n = weights.size
     rows = np.flatnonzero(weights[:-1] > 0)
     j = rows + 1
     p = np.minimum(rho * weights[rows] * weights[j], 1.0)
-    us, vs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    us, vs = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
     while rows.size:
         live = p > 0
         rows, j, p = rows[live], j[live], p[live]
@@ -263,8 +286,8 @@ def _edge_pairs(weights, rho, rng) -> tuple[np.ndarray, np.ndarray]:
         rows, j, p = rows[live], j[live], p[live]
         q = np.minimum(rho * weights[rows] * weights[j], 1.0)
         hit = rng.random(rows.size) < q / p
-        us.append(rows[hit])
-        vs.append(j[hit])
+        us.append(rows[hit].astype(np.int32))
+        vs.append(j[hit].astype(np.int32))
         j, p = j + 1, q
         live = j < n
         rows, j, p = rows[live], j[live], p[live]
@@ -322,13 +345,13 @@ def gen_two_cliques(m_small: int, n: int, bridged: bool = False) -> Graph:
         raise ValueError("need 2 <= m_small <= n - 2")
     us, vs = [], []
     for lo, hi in ((0, m_small), (m_small, n)):
-        idx = np.arange(lo, hi, dtype=np.int64)
+        idx = np.arange(lo, hi, dtype=np.int32)
         iu, iv = np.triu_indices(hi - lo, k=1)
         us.append(idx[iu])
         vs.append(idx[iv])
     if bridged:
-        us.append(np.array([m_small - 1], dtype=np.int64))
-        vs.append(np.array([m_small], dtype=np.int64))
+        us.append(np.array([m_small - 1], dtype=np.int32))
+        vs.append(np.array([m_small], dtype=np.int32))
     return _from_pairs(n, np.concatenate(us), np.concatenate(vs))
 
 
@@ -355,7 +378,8 @@ def edge_endpoints(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def adjacency_matrix(g: Graph):
-    """Adjacency matrix as a scipy CSR float64 matrix."""
+    """Adjacency matrix as a scipy CSR float64 matrix.  It shares g's
+    int32 index arrays, which scipy keeps as they are."""
     import scipy.sparse as sp
 
     data = np.ones(g.indices.size, dtype=np.float64)
@@ -475,8 +499,10 @@ def load_edge_list(path) -> Graph:
     whitespace; lines end in "\n" or "\r\n", the last one optionally in
     neither; there are no comments and no blank lines.
 
-    The body is parsed by one ``np.loadtxt`` call and checked with
-    whole-array tests.  Only a file that fails them is read again, line by
+    The body is parsed by one int32 ``np.loadtxt`` call and checked with
+    whole-array tests; the parsed pairs are dropped once their arc keys
+    exist, before the keys are sorted.  Only a file that fails the tests
+    (a vertex label past int32 fails the parse) is read again, line by
     line, to find and quote its first bad line.
 
     Raises EdgeListParseError (with the 1-based line number) on a malformed
@@ -487,12 +513,14 @@ def load_edge_list(path) -> Graph:
     with open(path) as fh:
         n, count = _read_header(fh)
         lines = _count_lines(fh)
-    pairs = _parse_pairs(path) if lines else np.empty((0, 2), np.int64)
+    pairs = _parse_pairs(path) if lines else np.empty((0, 2), np.int32)
     # np.loadtxt skips blank lines: a blank line leaves fewer rows than lines
     if pairs is not None and pairs.shape == (count, 2) and lines == count:
         u, v = pairs[:, 0], pairs[:, 1]
         if not np.any((u < 0) | (v >= n) | (u >= v)):
             keys = _arc_keys(n, u, v)
+            del pairs, u, v
+            keys.sort()
             # a repeated edge leaves two equal neighbouring keys
             if not np.any(keys[1:] == keys[:-1]):
                 return _from_keys(n, keys)
@@ -525,6 +553,8 @@ def _read_header(fh) -> tuple[int, int]:
         raise EdgeListParseError(1, f"non-integer header field in {header!r}") from None
     if n < 0 or count < 0:
         raise EdgeListParseError(1, "negative header field")
+    if n >= _INT32_LIMIT:
+        raise EdgeListParseError(1, f"{n} vertices: int32 CSR arrays hold fewer than 2^31")
     return n, count
 
 
@@ -538,14 +568,14 @@ def _count_lines(fh) -> int:
 
 
 def _parse_pairs(path) -> np.ndarray | None:
-    """The body of an edge-list file as an int64 array of rows, or None
+    """The body of an edge-list file as an int32 array of rows, or None
     where np.loadtxt fails."""
     with warnings.catch_warnings():
         # a whitespace-only body is "no data" to loadtxt; the line count
         # already tells it from an empty one
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            return np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2, skiprows=1)
+            return np.loadtxt(path, dtype=np.int32, comments=None, ndmin=2, skiprows=1)
         except ValueError:
             return None
 

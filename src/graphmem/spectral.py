@@ -193,6 +193,8 @@ def subgraph_bounds(g: Graph, s: SpectralSummary, I, J) -> BoundReport:
     in_j[J] = True
 
     src, dst = edge_endpoints(g)
+    # three lookups below: one cast beats numpy's slower int32 index path
+    dst = dst.astype(np.intp)
     hit = in_j[src] & in_i[dst]
     e_count = int(np.count_nonzero(hit))
 

@@ -49,12 +49,12 @@ def test_gen_complete_rejects_bad_n():
 
 def loop_complete_arrays(n):
     # oracle: K_n's CSR arrays built one row at a time
-    indices = np.empty(n * (n - 1), dtype=np.int64)
-    row = np.arange(n, dtype=np.int64)
+    indices = np.empty(n * (n - 1), dtype=np.int32)
+    row = np.arange(n, dtype=np.int32)
     for i in range(n):
         indices[i * (n - 1):(i + 1) * (n - 1)] = np.concatenate([row[:i], row[i + 1:]])
-    indptr = np.arange(0, n * (n - 1) + 1, n - 1, dtype=np.int64) if n > 1 \
-        else np.zeros(2, dtype=np.int64)
+    indptr = np.arange(0, n * (n - 1) + 1, n - 1, dtype=np.int32) if n > 1 \
+        else np.zeros(2, dtype=np.int32)
     return indptr, indices
 
 
@@ -66,6 +66,50 @@ def test_gen_complete_matches_row_loop(n):
         assert got.dtype == want.dtype
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_int32_arc_limit_is_checked_before_allocating():
+    # K_46342 has 46342 * 46341 >= 2^31 arcs: an int32 indptr would wrap,
+    # and building it would take about 17 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2147534622 arcs"):
+            graphs.gen_complete(46342)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert graphs.gen_complete(2).indptr.dtype == np.int32
+    # 2^30 pairs are 2^31 arcs; zero-stride arrays hold them in no memory
+    u, v = (np.broadcast_to(np.int32(k), (2 ** 30,)) for k in (0, 1))
+    with pytest.raises(ValueError, match="2147483648 arcs"):
+        graphs._from_pairs(2, u, v)
+
+
+def traced_peak(f, *args):
+    """f(*args) and the peak bytes tracemalloc saw during the call."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_scratch_per_arc(tmp_path):
+    # int32 pairs and CSR arrays: the one int64 array per arc is its sort
+    # key, so a generator holds key, pair and target (16 bytes per arc) and
+    # the loader, which drops its parsed pairs before the sort, key and
+    # target (12 bytes per arc); int64 arrays throughout took 24
+    g, peak = traced_peak(graphs.gen_erdos_renyi, 20_000, 1e-3, 0)
+    assert peak <= 17 * g.indices.size
+    w = graphs.powerlaw_weights(20_000, 3.5, 20.0, 200.0)
+    c, peak = traced_peak(graphs.gen_chung_lu, w, 0)
+    assert peak <= 17 * c.indices.size
+    path = tmp_path / "g.txt"
+    graphs.save_edge_list(g, path)
+    back, peak = traced_peak(graphs.load_edge_list, path)
+    assert back == g
+    assert peak <= 13 * g.indices.size
 
 
 def test_gnp_extreme_p():
@@ -325,7 +369,11 @@ def test_edge_endpoints_lists_every_arc():
 
 def test_adjacency_matrix_sparse_and_dense_agree():
     g = graphs.gen_erdos_renyi(25, 0.3, 11)
-    a_d = graphs.adjacency_matrix(g).toarray()
+    a = graphs.adjacency_matrix(g)
+    # scipy keeps int32 index arrays as given, so nothing is copied
+    assert np.shares_memory(a.indices, g.indices)
+    assert np.shares_memory(a.indptr, g.indptr)
+    a_d = a.toarray()
     want = np.zeros((g.n, g.n))
     for i in range(g.n):
         want[i, nbrs(g, i)] = 1.0
@@ -408,6 +456,19 @@ def test_crlf_edge_list_matches_lf(tmp_path):
             assert str(exc.value) == want
 
 
+@pytest.mark.parametrize("text,message", [
+    ("2147483648 0\n", "line 1: 2147483648 vertices: int32 CSR arrays hold fewer than 2^31"),
+    ("3 1\n0 2147483648\n", "line 2: vertex out of range in '0 2147483648'"),
+    ("3 1\n-2147483649 1\n", "line 2: vertex out of range in '-2147483649 1'"),
+])
+def test_labels_past_int32_are_rejected(tmp_path, text, message):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    with pytest.raises(graphs.EdgeListParseError) as exc:
+        graphs.load_edge_list(path)
+    assert str(exc.value) == message
+
+
 def test_duplicate_edge_names_its_first_line(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("5 4\n0 1\n1 2\n2 3\n1 2\n")
@@ -455,6 +516,8 @@ def test_edge_list_round_trip_every_generator(g):
     graphs.validate_graph(back)
     assert back == g
     assert np.array_equal(back.degrees, g.degrees)
+    for a in (g.indptr, g.indices, back.indptr, back.indices):
+        assert a.dtype == np.int32
 
 
 def pairs_graph(n, pairs):
@@ -771,8 +834,8 @@ def test_validate_graph_scratch_is_about_one_key_per_arc():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.indices.dtype == np.int64
-    assert peak <= 1.3 * g.indices.nbytes
+    assert g.indices.dtype == np.int32
+    assert peak <= 1.3 * 8 * g.indices.size
 
 
 # edges at the labels where the decimal width grows

@@ -175,7 +175,8 @@ def test_int32_graph_arrays_give_the_same_results(ptr_dtype, idx_dtype, reps, mo
     # the engine's products read the graph's own indptr and indices, so a
     # graph stored in int32 must give what the int64 one gives, on one and
     # two row runs
-    g = graphs.gen_erdos_renyi(300, 0.05, 21)
+    g32 = graphs.gen_erdos_renyi(300, 0.05, 21)
+    g = graphs.Graph(g32.indptr.astype(np.int64), g32.indices.astype(np.int64))
     narrow = graphs.Graph(g.indptr.astype(ptr_dtype), g.indices.astype(idx_dtype))
     graphs.validate_graph(narrow)
     base = hopfield.sample_patterns(9, g.n, 22)
