@@ -25,11 +25,13 @@ from .bounds import entropy, wilson_interval
 from .graphs import Graph, DegreeStats
 from .hopfield import (FieldEngine, PatternSet, _flip_count, run_block,
                        run_dynamics, sample_patterns)
-from .spectral import SpectralSummary, spectrum_summary
+from .spectral import SpectralSummary, _ratio_bound, spectrum_summary
 
 _DIVERGE_CAP = 10_000
-# safety factor on the analytic step bound in default_k_max
+# safety factor on the analytic step bound in default_k_max, and the floor
+# there on log(lambda1 / (kappa log n))
 _C_ITER = 10.0
+_LOG_RATIO_FLOOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -205,18 +207,33 @@ def predict_steps(s: SpectralSummary, M: int, n: int, rho_start: float,
 
 def default_k_max(s: SpectralSummary, n: int) -> int:
     """Step budget: ceil(C * max(log log n, log n / max(log(lambda1 /
-    (kappa log n)), 0.1))), the analytic step bound with safety factor
-    C = _C_ITER."""
+    (kappa log n)), F))), the analytic step bound with safety factor
+    C = _C_ITER and floor F = _LOG_RATIO_FLOOR."""
     if n < 3:
         raise ValueError("n must be >= 3")
     log_n = math.log(n)
     if s.kappa > 0:
         arg = s.lambda1 / (s.kappa * log_n)
-        denom = max(math.log(arg) if arg > 0 else 0.1, 0.1)
+        denom = max(math.log(arg), _LOG_RATIO_FLOOR) if arg > 0 else _LOG_RATIO_FLOOR
         second = log_n / denom
     else:
         second = 0.0
     return max(1, math.ceil(_C_ITER * max(math.log(log_n), second)))
+
+
+def _auto_k_max(g: Graph) -> int:
+    """default_k_max(spectrum_summary(g), g.n), without the Lanczos solve
+    where it cannot change the answer.  Whenever lambda1 / (kappa log n) <=
+    e^_LOG_RATIO_FLOOR the budget is the floor's, whatever lambda1 and
+    kappa are, so a certified bound U >= lambda1 / kappa below that line
+    fixes it: the budget is computed from lambda1 = U, kappa = 1.  The
+    1e-6 relative margin covers U's float rounding and Lanczos' 1e-8
+    tolerance.  K_n and edgeless graphs keep their closed forms."""
+    if g.edge_count and not g.is_complete:
+        u = _ratio_bound(g)
+        if u <= math.exp(_LOG_RATIO_FLOOR) * math.log(g.n) * (1.0 - 1e-6):
+            return default_k_max(SpectralSummary(u, 1.0, "bound", math.nan), g.n)
+    return default_k_max(spectrum_summary(g), g.n)
 
 
 def _flip_signs(rng: np.random.Generator, b: int, n: int, k: int) -> np.ndarray:
@@ -317,7 +334,8 @@ def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
     once and shared by its estimates and its spot trial, and so is the
     engine's cached product J Xi^T: a trial (the spot trial included)
     whose target pattern is not a fixed point of T fails without
-    dynamics, and the others retire on reaching their target.
+    dynamics, and the others retire on reaching their target.  k_max None
+    takes default_k_max's budget, through _auto_k_max.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
@@ -326,7 +344,7 @@ def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if k_max is None:
-        k_max = default_k_max(spectrum_summary(g), g.n)
+        k_max = _auto_k_max(g)
     m_cap = max(4, 4 * g.n)
 
     curve: dict[int, CurvePoint] = {}

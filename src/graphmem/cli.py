@@ -260,15 +260,18 @@ def _cmd_verify(config: ExperimentConfig, g: graphs_mod.Graph | None) -> dict:
     elif check in ("tails", "mgf"):
         if check == "tails":
             root_l = math.sqrt(max(g.edge_count, 1))
-            rep = bounds_mod.quadratic_form_tail(
-                g, s, [0.5 * root_l, root_l, 2 * root_l, 4 * root_l],
-                pr["samples"], seed)
+            grid = [0.5 * root_l, root_l, 2 * root_l, 4 * root_l]
+            rep = bounds_mod.quadratic_form_tail(g, s, grid, pr["samples"], seed)
         else:
             lam = max(s.lambda1, 1e-9)
-            rep = bounds_mod.mgf_check(
-                g, s, np.linspace(0.0, 0.9 / lam, 10), pr["samples"], seed)
+            grid = np.linspace(0.0, 0.9 / lam, 10)
+            rep = bounds_mod.mgf_check(g, s, grid, pr["samples"], seed)
         violations = rep.violations
-        detail = {"method": rep.method, "samples": rep.samples}
+        # one list per column, one entry per grid point
+        est, lo, hi = rep.empirical.T.tolist()
+        detail = {"method": rep.method, "samples": rep.samples,
+                  "grid": [float(x) for x in grid], "estimate": est,
+                  "ci_lo": lo, "ci_hi": hi, "analytic": rep.analytic.tolist()}
     elif check == "degrees":
         rep = bounds_mod.degree_tail_experiment(pr["n"], pr["p"], pr["trials"], seed)
         violations = rep.violations

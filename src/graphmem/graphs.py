@@ -205,9 +205,12 @@ def _from_keys(n: int, keys: np.ndarray) -> Graph:
     return Graph(indptr, indices)
 
 
-def _from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
-    """Build CSR arrays from unique undirected pairs (u[k] < v[k])."""
-    keys = _arc_keys(n, u, v)
+def _from_pairs(n: int, pairs: list) -> Graph:
+    """Build CSR arrays from the unique undirected pairs (u[k] < v[k]) of
+    pairs = [u, v].  The list is emptied once the arc keys exist, so a
+    caller that keeps no other reference frees the pairs before the sort."""
+    keys = _arc_keys(n, *pairs)
+    pairs.clear()
     keys.sort()
     return _from_keys(n, keys)
 
@@ -240,11 +243,11 @@ def gen_erdos_renyi(n: int, p: float, seed) -> Graph:
         Randomness source; a given int seed fixes the graph.
     """
     pairs = _erdos_renyi_pairs(n, p, seed)
-    return gen_complete(n) if pairs is None else _from_pairs(n, *pairs)
+    return gen_complete(n) if pairs is None else _from_pairs(n, pairs)
 
 
-def _erdos_renyi_pairs(n: int, p: float, seed) -> tuple[np.ndarray, np.ndarray] | None:
-    """The edges (u, v), u < v, of gen_erdos_renyi(n, p, seed), drawn from
+def _erdos_renyi_pairs(n: int, p: float, seed) -> list[np.ndarray] | None:
+    """The edges [u, v], u < v, of gen_erdos_renyi(n, p, seed), drawn from
     seed exactly as it draws them, or None for p = 1, which is K_n and
     draws nothing.  Checks the arguments as gen_erdos_renyi documents."""
     if n < 1:
@@ -256,7 +259,7 @@ def _erdos_renyi_pairs(n: int, p: float, seed) -> tuple[np.ndarray, np.ndarray] 
     return _edge_pairs(np.ones(n), p, np.random.default_rng(seed))
 
 
-def _edge_pairs(weights, rho, rng) -> tuple[np.ndarray, np.ndarray]:
+def _edge_pairs(weights, rho, rng) -> list[np.ndarray]:
     """Miller-Hagberg sampler, run on all rows at once: pair {i, j}, i < j,
     is an edge with probability P_ij = min(rho * w_i * w_j, 1).
 
@@ -267,7 +270,7 @@ def _edge_pairs(weights, rho, rng) -> tuple[np.ndarray, np.ndarray]:
     per live row for the skip and one per surviving row for the
     acceptance, in ascending row order.  Rows and targets stay int64 in
     the loop, since numpy indexes more slowly with int32 arrays; each
-    round's edges are kept as int32.
+    round's edges are kept as int32, and returned as [u, v].
     """
     n = weights.size
     rows = np.flatnonzero(weights[:-1] > 0)
@@ -291,7 +294,7 @@ def _edge_pairs(weights, rho, rng) -> tuple[np.ndarray, np.ndarray]:
         j, p = j + 1, q
         live = j < n
         rows, j, p = rows[live], j[live], p[live]
-    return np.concatenate(us), np.concatenate(vs)
+    return [np.concatenate(us), np.concatenate(vs)]
 
 
 def powerlaw_weights(n: int, beta: float, d_avg: float, m_bar: float) -> WeightSequence:
@@ -334,7 +337,7 @@ def gen_chung_lu(w: WeightSequence, seed) -> Graph:
     checks when it is built.
     """
     rng = np.random.default_rng(seed)
-    return _from_pairs(w.n, *_edge_pairs(w.weights, w.rho_norm, rng))
+    return _from_pairs(w.n, _edge_pairs(w.weights, w.rho_norm, rng))
 
 
 def gen_two_cliques(m_small: int, n: int, bridged: bool = False) -> Graph:
@@ -352,7 +355,7 @@ def gen_two_cliques(m_small: int, n: int, bridged: bool = False) -> Graph:
     if bridged:
         us.append(np.array([m_small - 1], dtype=np.int32))
         vs.append(np.array([m_small], dtype=np.int32))
-    return _from_pairs(n, np.concatenate(us), np.concatenate(vs))
+    return _from_pairs(n, [np.concatenate(us), np.concatenate(vs)])
 
 
 def degree_stats(g: Graph) -> DegreeStats:

@@ -285,7 +285,7 @@ def isolated_vertices_graph(n, density, seed, extra=3):
     """G(n, density) on vertices 0..n-1, then `extra` vertices with no edges."""
     inner = graphs.gen_erdos_renyi(n, density, seed)
     src, dst = graphs.edge_endpoints(inner)
-    return graphs._from_pairs(n + extra, src[src < dst], dst[src < dst])
+    return graphs._from_pairs(n + extra, [src[src < dst], dst[src < dst]])
 
 
 @settings(max_examples=40, deadline=None)

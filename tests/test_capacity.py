@@ -472,6 +472,24 @@ def test_capacity_search_on_complete_graph():
     assert winner and winner[0].rate >= 0.9 and winner[0].spot_ok
 
 
+def test_auto_k_max_runs_lanczos_only_where_the_bound_cannot_decide(monkeypatch):
+    # G(300, 0.02) has lambda1 / (kappa log n) = 0.24, which the cheap
+    # bound (0.53) already places under the floor e^0.1; G(200, 0.3) has
+    # 0.89, under the floor too, but its bound (1.76) is not, so only that
+    # graph pays for the Lanczos solve
+    real = spectral.spectrum_summary
+    calls = []
+    monkeypatch.setattr(capacity, "spectrum_summary",
+                        lambda g: calls.append(g.n) or real(g))
+    for n, p, solved in ((300, 0.02, []), (200, 0.3, [200])):
+        g = graphs.gen_erdos_renyi(n, p, 0)
+        est = capacity.capacity_search(g, rho=0.05, k_max=None, trials=20,
+                                       threshold=0.9, seed=1)
+        assert est.k_max == capacity.default_k_max(real(g), n)
+        assert calls == solved
+        calls.clear()
+
+
 def test_capacity_search_deterministic():
     g = graphs.gen_complete(32)
     a = capacity.capacity_search(g, rho=0.05, k_max=8, trials=30,

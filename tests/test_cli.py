@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphmem import cli, graphs
+from graphmem import bounds, cli, graphs, spectral
 
 SRC = str(Path(graphs.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).parent / "golden"
@@ -219,6 +219,43 @@ def test_theory_report(tmp_path):
     for row in doc["f_rho_table"]:
         assert {"rho", "value", "branch", "contracts"} <= row.keys()
     assert doc["h1"]["holds"] and doc["h2"]["holds"]
+
+
+def test_capacity_auto_kmax_on_a_sparse_graph_does_not_load_the_eigensolver(tmp_path):
+    # G(300, 0.02)'s cheap spectral bound fixes the default step budget,
+    # so the run never imports ARPACK
+    gpath = gen_graph_file(tmp_path, n=300, p=0.02, seed=0)
+    code = ("import sys\n"
+            "from graphmem import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print('scipy.sparse.linalg' in sys.modules)\n")
+    out = subprocess.run(
+        [sys.executable, "-c", code, "capacity", "--graph", str(gpath),
+         "--trials", "20", "--out", str(tmp_path / "c.csv")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "False"
+    assert "# k_max=571\n" in (tmp_path / "c.csv").read_text()
+
+
+@pytest.mark.parametrize("check", ["tails", "mgf"])
+def test_verify_form_detail_carries_the_report(tmp_path, check):
+    # one entry per grid point for each column of the library's report
+    gpath = gen_graph_file(tmp_path)
+    out = tmp_path / "v.json"
+    assert run_cli("verify", "--check", check, "--graph", str(gpath),
+                   "--samples", "2000", "--seed", "3", "--out", str(out)) == 0
+    detail = json.loads(out.read_text())["detail"]
+    g = graphs.load_edge_list(gpath)
+    s = spectral.spectrum_summary(g)
+    if check == "tails":
+        rep = bounds.quadratic_form_tail(g, s, detail["grid"], 2000, 3)
+    else:
+        rep = bounds.mgf_check(g, s, detail["grid"], 2000, 3)
+    assert detail["method"] == rep.method and detail["samples"] == rep.samples
+    assert np.array_equal(np.column_stack([detail["estimate"], detail["ci_lo"],
+                                           detail["ci_hi"]]), rep.empirical)
+    assert detail["analytic"] == rep.analytic.tolist()
 
 
 def test_verify_energy_clean(tmp_path):

@@ -82,7 +82,7 @@ def test_int32_arc_limit_is_checked_before_allocating():
     # 2^30 pairs are 2^31 arcs; zero-stride arrays hold them in no memory
     u, v = (np.broadcast_to(np.int32(k), (2 ** 30,)) for k in (0, 1))
     with pytest.raises(ValueError, match="2147483648 arcs"):
-        graphs._from_pairs(2, u, v)
+        graphs._from_pairs(2, [u, v])
 
 
 def traced_peak(f, *args):
@@ -97,14 +97,15 @@ def traced_peak(f, *args):
 
 def test_build_scratch_per_arc(tmp_path):
     # int32 pairs and CSR arrays: the one int64 array per arc is its sort
-    # key, so a generator holds key, pair and target (16 bytes per arc) and
-    # the loader, which drops its parsed pairs before the sort, key and
-    # target (12 bytes per arc); int64 arrays throughout took 24
+    # key, and the generators and the loader alike drop their pairs before
+    # the sort, so each holds key and target (12 bytes per arc) at its
+    # peak; holding the pairs through the sort took 16, int64 arrays
+    # throughout 24
     g, peak = traced_peak(graphs.gen_erdos_renyi, 20_000, 1e-3, 0)
-    assert peak <= 17 * g.indices.size
+    assert peak <= 12.5 * g.indices.size
     w = graphs.powerlaw_weights(20_000, 3.5, 20.0, 200.0)
     c, peak = traced_peak(graphs.gen_chung_lu, w, 0)
-    assert peak <= 17 * c.indices.size
+    assert peak <= 12.5 * c.indices.size
     path = tmp_path / "g.txt"
     graphs.save_edge_list(g, path)
     back, peak = traced_peak(graphs.load_edge_list, path)
@@ -522,7 +523,7 @@ def test_edge_list_round_trip_every_generator(g):
 
 def pairs_graph(n, pairs):
     e = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    return graphs._from_pairs(n, e[:, 0], e[:, 1])
+    return graphs._from_pairs(n, [e[:, 0], e[:, 1]])
 
 
 def oracle_runs(g):

@@ -248,7 +248,7 @@ def test_csr_row_sum_bound_picks_exact_type(hub_degree, dtype):
     # its degree: int16 holds 2^15 - 1, and at 2^15 the engine must widen
     # to int32, or the hub's field on the all-ones state wraps to -2^15
     n = hub_degree + 1
-    g = graphs._from_pairs(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
+    g = graphs._from_pairs(n, [np.zeros(n - 1, dtype=np.int64), np.arange(1, n)])
     eng = hopfield.FieldEngine(g, hopfield.PatternSet(np.ones((1, n), dtype=np.int8)))
     assert eng.storage == "csr" and eng._data.dtype == dtype
     a = graphs.adjacency_matrix(g).astype(np.int64)
@@ -316,7 +316,7 @@ def test_field_budget_guard_raises_before_allocating():
             "ones = np.ones(n, dtype=np.int8)\n"
             "p = hopfield.PatternSet(np.broadcast_to(ones, (2 ** 21, n)))\n"
             "hub = np.zeros(n - 1, dtype=np.int64)\n"
-            "star = graphs._from_pairs(n, hub, np.arange(1, n))\n"
+            "star = graphs._from_pairs(n, [hub, np.arange(1, n)])\n"
             "for g in (graphs.gen_complete(n), star):\n"
             "    try:\n"
             "        hopfield.FieldEngine(g, p)\n"
@@ -423,7 +423,7 @@ def test_sequential_sweep_uses_updated_prefix(tmp_path):
 
 def pairs_graph(n, pairs):
     e = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    return graphs._from_pairs(n, e[:, 0], e[:, 1])
+    return graphs._from_pairs(n, [e[:, 0], e[:, 1]])
 
 
 def repeated(base, reps):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphmem import graphs, spectral
+from graphmem import capacity, graphs, spectral
 
 
 def load_lines(tmp_path, text):
@@ -49,27 +49,35 @@ def all_graphs(n):
     iu, iv = np.triu_indices(n, k=1)
     for code in range(2 ** iu.size):
         keep = (code >> np.arange(iu.size)) & 1 == 1
-        yield graphs._from_pairs(n, iu[keep], iv[keep])
+        yield graphs._from_pairs(n, [iu[keep], iv[keep]])
 
 
 def cycle(n):
     u = np.arange(n, dtype=np.int64)
     v = (u + 1) % n
-    return graphs._from_pairs(n, np.minimum(u, v), np.maximum(u, v))
+    return graphs._from_pairs(n, [np.minimum(u, v), np.maximum(u, v)])
 
 
 def complete_bipartite(a, b):
     u, v = np.meshgrid(np.arange(a), a + np.arange(b), indexing="ij")
-    return graphs._from_pairs(a + b, u.ravel(), v.ravel())
+    return graphs._from_pairs(a + b, [u.ravel(), v.ravel()])
+
+
+def union(*parts):
+    # disjoint union, each part's vertices numbered after the previous ones
+    us, vs, base = [], [], 0
+    for g in parts:
+        src, dst = graphs.edge_endpoints(g)
+        keep = src < dst
+        us.append(src[keep] + base)
+        vs.append(dst[keep] + base)
+        base += g.n
+    return graphs._from_pairs(base, [np.concatenate(us), np.concatenate(vs)])
 
 
 def copies(g, k):
     # disjoint union of k copies of g
-    src, dst = graphs.edge_endpoints(g)
-    keep = src < dst
-    shift = np.repeat(np.arange(k) * g.n, int(keep.sum()))
-    return graphs._from_pairs(k * g.n, np.tile(src[keep], k) + shift,
-                              np.tile(dst[keep], k) + shift)
+    return union(*[g] * k)
 
 
 def test_complete_graph_spectrum_dense():
@@ -177,6 +185,46 @@ def test_default_tolerance_matches_dense(g):
     # at the default tol ARPACK stops early, yet the eigenvalues it
     # returns stay within 1e-9 * max(1, lambda1) of the dense solve
     checked_summary(g)
+
+
+@st.composite
+def bound_graphs(draw):
+    # lanczos_graphs' families, sparse G(n, p), the two-clique graph with
+    # and without its bridge, even cycles (bipartite), and disjoint unions
+    # of those, some with isolated vertices
+    family = draw(st.sampled_from(["lanczos", "sparse", "twoclique", "cycle",
+                                   "union"]))
+    if family == "lanczos":
+        return draw(lanczos_graphs())
+    if family == "sparse":
+        return graphs.gen_erdos_renyi(draw(st.integers(3, 300)),
+                                      draw(st.floats(0.0, 0.05)),
+                                      draw(st.integers(0, 2 ** 32 - 1)))
+    if family == "twoclique":
+        n = draw(st.integers(4, 150))
+        return graphs.gen_two_cliques(draw(st.integers(2, n - 2)), n,
+                                      bridged=draw(st.booleans()))
+    if family == "cycle":
+        return cycle(2 * draw(st.integers(2, 75)))
+    isolated = st.integers(1, 20).map(lambda k: graphs.gen_erdos_renyi(k, 0.0, 0))
+    return union(*draw(st.lists(bound_graphs() | isolated, min_size=2,
+                                max_size=3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_graphs())
+def test_ratio_bound_holds_and_leaves_the_auto_budget_unchanged(g):
+    # the cheap bound never falls below lambda1 / kappa (up to the 1e-6
+    # margin the step budget leaves it), so the budget capacity_search takes
+    # without Lanczos is the one Lanczos gives.  The bound is held to the
+    # dense solve: on a union of equal components Lanczos can miss the
+    # repeated top and return too small a kappa
+    if g.edge_count and not g.is_complete:
+        lam1, kappa = dense_lambda1_kappa(g)
+        assert spectral._ratio_bound(g) >= lam1 / kappa * (1.0 - 1e-6)
+    if g.n >= 3:
+        s = spectral.spectrum_summary(g)
+        assert capacity._auto_k_max(g) == capacity.default_k_max(s, g.n)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
