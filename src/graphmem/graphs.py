@@ -19,7 +19,7 @@ import numpy as np
 
 # save_edge_list and validate_graph read the CSR arcs this many at a time
 _ARC_CHUNK = 1 << 17
-# load_edge_list counts lines in reads of this many characters
+# load_edge_list counts lines in reads of this many bytes
 _READ_CHUNK = 1 << 16
 # the CSR arrays are int32: vertex and arc counts stay below this
 _INT32_LIMIT = 2 ** 31
@@ -183,25 +183,43 @@ def _check_arcs(arcs: int) -> None:
         raise ValueError(f"{arcs} arcs: int32 CSR arrays hold fewer than 2^31")
 
 
+def _key_type(n: int) -> type:
+    """The type of the arc keys src * n + dst of an n-vertex graph: uint32
+    while every key, below n^2, fits (n <= 2^16), so a sort moves half the
+    bytes; int64 beyond."""
+    return np.uint32 if n <= 1 << 16 else np.int64
+
+
 def _arc_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One int64 key src * n + dst per arc of the undirected pairs
-    (u[k], v[k]), unsorted (sorted, they order the arcs by source, then
-    target).  Both halves are written in place; the int64 n keeps the
-    products in int64 whatever the type of u and v."""
+    """One key src * n + dst per arc of the undirected pairs (u[k], v[k]),
+    in _key_type(n), unsorted (sorted, they order the arcs by source, then
+    target).  Both halves are written in place."""
     _check_arcs(2 * u.size)
-    n = np.int64(n)
-    keys = np.empty(2 * u.size, dtype=np.int64)
-    for a, b, out in ((u, v, keys[:u.size]), (v, u, keys[u.size:])):
-        np.multiply(a, n, out=out)
-        out += b
+    keys = np.empty(2 * u.size, dtype=_key_type(n))
+    _put_keys(u, v, n, keys[:u.size])
+    _put_keys(v, u, n, keys[u.size:])
     return keys
 
 
+def _put_keys(src: np.ndarray, dst: np.ndarray, n: int, out: np.ndarray) -> None:
+    """out = src * n + dst, computed in out's type (the key type) whatever
+    the type of the labels, which lie in [0, n)."""
+    kt = out.dtype
+    np.multiply(src, kt.type(n), out=out, dtype=kt, casting="unsafe")
+    np.add(out, dst, out=out, dtype=kt, casting="unsafe")
+
+
 def _from_keys(n: int, keys: np.ndarray) -> Graph:
-    """Build int32 CSR arrays from the sorted arc keys of a simple graph."""
-    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n).astype(np.int32)
+    """Build int32 CSR arrays from the sorted arc keys of a simple graph,
+    given in _key_type(n).  Rows are found by probes in the keys' own type
+    (other probes would make searchsorted copy the keys); the last, n^2,
+    can overflow uint32 and is keys.size anyway."""
+    kt = keys.dtype.type
+    indptr = np.empty(n + 1, dtype=np.int32)
+    indptr[:n] = np.searchsorted(keys, np.arange(n, dtype=kt) * kt(n))
+    indptr[n] = keys.size
     indices = np.empty(keys.size, dtype=np.int32)
-    np.remainder(keys, np.int64(n), out=indices)
+    np.remainder(keys, kt(n), out=indices)
     return Graph(indptr, indices)
 
 
@@ -346,16 +364,33 @@ def gen_two_cliques(m_small: int, n: int, bridged: bool = False) -> Graph:
     {m_small-1, m_small}."""
     if not 2 <= m_small <= n - 2:
         raise ValueError("need 2 <= m_small <= n - 2")
-    us, vs = [], []
-    for lo, hi in ((0, m_small), (m_small, n)):
-        idx = np.arange(lo, hi, dtype=np.int32)
-        iu, iv = np.triu_indices(hi - lo, k=1)
-        us.append(idx[iu])
-        vs.append(idx[iv])
+    cliques = ((0, m_small), (m_small, n - m_small))
+    edges = sum(k * (k - 1) // 2 for _, k in cliques) + bridged
+    _check_arcs(2 * edges)
+    # no name but the list holds the pairs, so _from_pairs frees them
+    pairs = [np.empty(edges, np.int32), np.empty(edges, np.int32)]
+    at = 0
+    for lo, k in cliques:
+        e = k * (k - 1) // 2
+        _clique_pairs(lo, k, *(p[at:at + e] for p in pairs))
+        at += e
     if bridged:
-        us.append(np.array([m_small - 1], dtype=np.int32))
-        vs.append(np.array([m_small], dtype=np.int32))
-    return _from_pairs(n, [np.concatenate(us), np.concatenate(vs)])
+        pairs[0][-1], pairs[1][-1] = m_small - 1, m_small
+    return _from_pairs(n, pairs)
+
+
+def _clique_pairs(lo: int, k: int, u: np.ndarray, v: np.ndarray) -> None:
+    """Write the pairs (lo + i, lo + j), i < j < k, of a k-clique into u
+    and v, row i after row i - 1, as running sums in their own type: row
+    i's targets are i + 1 .. k - 1, so where a row starts u steps up by
+    one and v drops back from k - 1 to i + 1; elsewhere v steps up by one."""
+    starts = np.cumsum(np.arange(k - 1, 1, -1))     # rows 1 .. k - 2
+    u.fill(0)
+    u[0], u[starts] = lo, 1
+    v.fill(1)
+    v[0], v[starts] = lo + 1, np.arange(3 - k, 1)
+    np.cumsum(u, dtype=u.dtype, out=u)
+    np.cumsum(v, dtype=v.dtype, out=v)
 
 
 def degree_stats(g: Graph) -> DegreeStats:
@@ -398,7 +433,8 @@ def validate_graph(g: Graph) -> None:
     before the two are compared.  The arcs are read in blocks of
     _ARC_CHUNK: the reversed keys fill one preallocated array, sorted in
     place, and the forward keys are formed and compared a block at a
-    time, so the scratch memory is about one int64 per arc.
+    time, so the scratch memory is about one key per arc, 4 bytes in
+    _key_type(n) up to n = 2^16 and 8 beyond.
     """
     indptr, indices = g.indptr, g.indices
     if (indptr.size == 0 or indptr[0] != 0 or indptr[-1] != indices.size
@@ -408,23 +444,24 @@ def validate_graph(g: Graph) -> None:
         raise ValueError("neighbor index out of range")
     # with every target below n, the key src * n + dst orders the arcs by
     # source, then target: each row strictly increases exactly when the
-    # keys do.  An int64 n keeps the keys in int64 whatever the index dtype.
-    n = np.int64(g.n)
-    bwd = np.empty(indices.size, dtype=np.int64)
-    loop, unsorted, last = False, None, np.int64(-1)
+    # keys do
+    n = g.n
+    bwd = np.empty(indices.size, dtype=_key_type(n))
+    fwd = np.empty(min(indices.size, _ARC_CHUNK), dtype=bwd.dtype)
+    loop, unsorted, last = False, None, None
     for a, b, src, dst in _arc_blocks(g, _ARC_CHUNK):
         loop = loop or bool(np.any(src == dst))
-        fwd = src * n + dst
+        key = fwd[:b - a]
+        _put_keys(src, dst, n, key)
         if unsorted is None:
-            bad = np.flatnonzero(fwd[1:] <= fwd[:-1])
+            bad = np.flatnonzero(key[1:] <= key[:-1])
             # a fault at the block's first arc lies in the last block's row
-            if fwd[0] <= last:
+            if last is not None and key[0] <= last:
                 unsorted = last // n
             elif bad.size:
                 unsorted = src[bad[0]]
-        last = fwd[-1]
-        np.multiply(dst, n, out=bwd[a:b])
-        bwd[a:b] += src
+        last = key[-1]
+        _put_keys(dst, src, n, bwd[a:b])
     if loop:
         raise ValueError("self-loop present")
     if unsorted is not None:
@@ -432,7 +469,9 @@ def validate_graph(g: Graph) -> None:
     # symmetry: the set of (src, dst) arcs must equal its transpose
     bwd.sort()
     for a, b, src, dst in _arc_blocks(g, _ARC_CHUNK):
-        if not np.array_equal(src * n + dst, bwd[a:b]):
+        key = fwd[:b - a]
+        _put_keys(src, dst, n, key)
+        if not np.array_equal(key, bwd[a:b]):
             raise ValueError("adjacency not symmetric")
 
 
@@ -515,7 +554,7 @@ def load_edge_list(path) -> Graph:
     """
     with open(path) as fh:
         n, count = _read_header(fh)
-        lines = _count_lines(fh)
+    lines = _count_lines(path) - 1
     pairs = _parse_pairs(path) if lines else np.empty((0, 2), np.int32)
     # np.loadtxt skips blank lines: a blank line leaves fewer rows than lines
     if pairs is not None and pairs.shape == (count, 2) and lines == count:
@@ -561,13 +600,22 @@ def _read_header(fh) -> tuple[int, int]:
     return n, count
 
 
-def _count_lines(fh) -> int:
-    """Number of lines left in the text file fh."""
-    lines, last = 0, "\n"
-    for chunk in iter(lambda: fh.read(_READ_CHUNK), ""):
-        lines += chunk.count("\n")
-        last = chunk[-1]
-    return lines + (last != "\n")
+def _count_lines(path) -> int:
+    r"""Number of lines of the file at path as text mode reads them, counted
+    in its bytes without decoding them: "\n", "\r\n" and a lone "\r" each
+    end a line, and the last line may end in none."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_READ_CHUNK), b""):
+            # numpy counts a byte several times faster than bytes.count
+            lines += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            # a "\r\n" split between two reads
+            if last == b"\r" and chunk[:1] == b"\n":
+                lines -= 1
+            last = chunk[-1:]
+    return lines + (last not in (b"\n", b"\r"))
 
 
 def _parse_pairs(path) -> np.ndarray | None:

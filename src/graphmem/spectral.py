@@ -108,12 +108,74 @@ def spectrum_summary(g: Graph, tol: float = 1e-8) -> SpectralSummary:
 
 
 def _lambda1_kappa_iterative(g: Graph, tol: float) -> tuple[float, float, float]:
-    """lambda1 and kappa as the larger and smaller magnitude of the two
-    eigenvalues of largest magnitude, from one Lanczos call.  Magnitudes,
-    not signs, so a bipartite graph (+-lambda1) or a repeated top gives
-    kappa = lambda1 whichever pair ARPACK returns.  The residual is the
-    largest ||A v - lambda v|| over the two returned pairs."""
+    """lambda1 and kappa as the two largest eigenvalue magnitudes, with the
+    largest residual ||A v - lambda v|| of the Lanczos pairs they come from.
+
+    Where one connected component carries every edge, one Lanczos call
+    gives both (_top_two).  One run from one start vector cannot see an
+    eigenvalue repeated across components, as two equal components repeat
+    their top, so otherwise each component is solved on its own (a clique
+    in closed form) and the two largest magnitudes of all are kept.  Every
+    magnitude of a component is at most its lambda1, which is at most both
+    its largest degree and sqrt(2m - n + 1) (Hong, 1988): components are
+    taken in descending order of that bound, and the rest are skipped once
+    it cannot beat the second magnitude found."""
     a = adjacency_matrix(g)
+    if _edges_connected(g):
+        return _top_two(a, tol)
+    # imported here: about 1 MB resident, which connected graphs never need
+    from scipy.sparse.csgraph import connected_components
+
+    count, labels = connected_components(a, directed=False)
+    deg = g.degrees
+    carried = np.unique(labels[deg > 0])
+    # block-diagonal: component c holds rows ends[c] - size[c] .. ends[c] - 1
+    order = np.argsort(labels, kind="stable")
+    a = a[order][:, order]
+    size = np.bincount(labels, minlength=count)
+    ends = np.cumsum(size)
+    arcs = np.bincount(labels, weights=deg, minlength=count)
+    top = np.zeros(count)
+    np.maximum.at(top, labels, deg)
+    bound = np.minimum(top, np.sqrt(arcs - size + 1))
+    mags, residual = [], 0.0
+    for c in carried[np.argsort(-bound[carried], kind="stable")]:
+        if len(mags) == 2 and bound[c] <= mags[1]:
+            break
+        k = int(size[c])
+        if arcs[c] == k * (k - 1):
+            found = (k - 1.0, 1.0, 0.0)
+        else:
+            lo = int(ends[c]) - k
+            found = _top_two(a[lo:lo + k, lo:lo + k], tol)
+        mags = sorted(mags + list(found[:2]), reverse=True)[:2]
+        residual = max(residual, found[2])
+    return mags[0], mags[1], residual
+
+
+def _edges_connected(g: Graph) -> bool:
+    """Whether every edge of g lies in one connected component, by a
+    breadth-first search from the first vertex with an edge that takes a
+    whole level per step, so it reads each arc once."""
+    deg = g.degrees
+    seen = np.zeros(g.n, dtype=bool)
+    level = np.flatnonzero(deg)[:1]
+    while level.size:
+        seen[level] = True
+        # the level's rows' arcs, as one run of indices per row
+        count = deg[level].astype(np.int64)
+        start = g.indptr[level] - (np.cumsum(count) - count)
+        nbrs = g.indices[np.arange(count.sum()) + np.repeat(start, count)]
+        level = np.unique(nbrs[~seen[nbrs]])
+    return np.count_nonzero(seen) == np.count_nonzero(deg)
+
+
+def _top_two(a, tol: float) -> tuple[float, float, float]:
+    """The larger and smaller magnitude of the two eigenvalues of largest
+    magnitude of the adjacency a, from one Lanczos call, and the residual.
+    Magnitudes, not signs, so a bipartite graph (+-lambda1) or a repeated
+    top gives kappa = lambda1 whichever pair ARPACK returns.  The residual
+    is the largest ||A v - lambda v|| over the two returned pairs."""
     w, v = _lanczos(a, 2, "LM", tol)
     residual = float(np.linalg.norm(a @ v - v * w, axis=0).max())
     mags = np.abs(w)

@@ -281,6 +281,24 @@ def test_sampled_forms_match_brute_force_across_chunks(g, samples, pools, monkey
     assert np.array_equal(forms_on_each_pool(g, samples, 7, pools, monkeypatch), want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 41)), min_size=1,
+                       max_size=5),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_sign_bits_are_numpys_int8_draws(shapes, seed):
+    # the seed -> sample mapping of _form_values is numpy's int8 draw: the
+    # same bits and the same generator state after every call, where a
+    # call leaves part of its last 32-bit word unused and where a 32-bit
+    # draw between calls takes the half of a 64-bit output PCG64 buffers
+    want, got = np.random.default_rng(seed), np.random.default_rng(seed)
+    for shape in shapes:
+        bits = bounds._sign_bits(got, shape)
+        assert np.array_equal(bits, want.integers(0, 2, shape, dtype=np.int8))
+        assert bits.shape == shape
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.integers(2 ** 32, dtype=np.uint32) == want.integers(2 ** 32, dtype=np.uint32)
+
+
 def isolated_vertices_graph(n, density, seed, extra=3):
     """G(n, density) on vertices 0..n-1, then `extra` vertices with no edges."""
     inner = graphs.gen_erdos_renyi(n, density, seed)

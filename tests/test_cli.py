@@ -223,12 +223,14 @@ def test_theory_report(tmp_path):
 
 def test_capacity_auto_kmax_on_a_sparse_graph_does_not_load_the_eigensolver(tmp_path):
     # G(300, 0.02)'s cheap spectral bound fixes the default step budget,
-    # so the run never imports ARPACK
+    # so the run never imports ARPACK, nor the component search that only
+    # the Lanczos path runs
     gpath = gen_graph_file(tmp_path, n=300, p=0.02, seed=0)
     code = ("import sys\n"
             "from graphmem import cli\n"
             "assert cli.main(sys.argv[1:]) == 0\n"
-            "print('scipy.sparse.linalg' in sys.modules)\n")
+            "print(any(m in sys.modules for m in\n"
+            "          ('scipy.sparse.linalg', 'scipy.sparse.csgraph')))\n")
     out = subprocess.run(
         [sys.executable, "-c", code, "capacity", "--graph", str(gpath),
          "--trials", "20", "--out", str(tmp_path / "c.csv")],

@@ -96,21 +96,39 @@ def traced_peak(f, *args):
 
 
 def test_build_scratch_per_arc(tmp_path):
-    # int32 pairs and CSR arrays: the one int64 array per arc is its sort
-    # key, and the generators and the loader alike drop their pairs before
-    # the sort, so each holds key and target (12 bytes per arc) at its
-    # peak; holding the pairs through the sort took 16, int64 arrays
-    # throughout 24
+    # int32 pairs and CSR arrays, and for n <= 2^16 one uint32 sort key per
+    # arc; the generators and the loader alike drop their pairs before the
+    # sort, so each holds pairs and keys, then keys and targets, about 8
+    # bytes per arc at its peak.  int64 keys took 12.5, holding the pairs
+    # through the sort 16, int64 arrays throughout 24, and the two-clique
+    # graph's int64 triu_indices 22.6
     g, peak = traced_peak(graphs.gen_erdos_renyi, 20_000, 1e-3, 0)
-    assert peak <= 12.5 * g.indices.size
+    assert peak <= 10.5 * g.indices.size
     w = graphs.powerlaw_weights(20_000, 3.5, 20.0, 200.0)
     c, peak = traced_peak(graphs.gen_chung_lu, w, 0)
-    assert peak <= 12.5 * c.indices.size
+    assert peak <= 10.5 * c.indices.size
+    t, peak = traced_peak(graphs.gen_two_cliques, 300, 900, True)
+    assert peak <= 10.5 * t.indices.size
     path = tmp_path / "g.txt"
     graphs.save_edge_list(g, path)
     back, peak = traced_peak(graphs.load_edge_list, path)
     assert back == g
-    assert peak <= 13 * g.indices.size
+    assert peak <= 10.5 * g.indices.size
+
+
+@pytest.mark.parametrize("m_small, n, bridged", [
+    (2, 4, False), (2, 4, True), (2, 5, True), (3, 9, True), (5, 12, False),
+    (30, 61, True), (40, 42, False)])
+def test_two_cliques_match_triu_indices(m_small, n, bridged):
+    # the running-sum pairs are the upper triangles of both cliques, as
+    # np.triu_indices lists them
+    want = []
+    for lo, hi in ((0, m_small), (m_small, n)):
+        iu, iv = np.triu_indices(hi - lo, k=1)
+        want += list(zip((iu + lo).tolist(), (iv + lo).tolist()))
+    if bridged:
+        want.append((m_small - 1, m_small))
+    assert graphs.gen_two_cliques(m_small, n, bridged) == pairs_graph(n, want)
 
 
 def test_gnp_extreme_p():
@@ -470,6 +488,40 @@ def test_labels_past_int32_are_rejected(tmp_path, text, message):
     assert str(exc.value) == message
 
 
+def text_mode_lines(path):
+    """The number of lines of a file as text mode reads them."""
+    with open(path) as fh:
+        text = fh.read()
+    return text.count("\n") + (text[-1:] not in ("", "\n"))
+
+
+@pytest.mark.parametrize("ending, final", [("\n", True), ("\r\n", True), ("\r", True),
+                                           ("\n", False)],
+                         ids=["lf", "crlf", "lone-cr", "no-final-newline"])
+def test_lines_counted_in_bytes_as_text_mode_reads_them(tmp_path, monkeypatch, ending, final):
+    # reads of 1, 2 and 3 bytes split a "\r\n" between two reads
+    g = graphs.gen_two_cliques(3, 7, bridged=True)
+    path = tmp_path / "g.txt"
+    graphs.save_edge_list(g, path)
+
+    def write(text):
+        data = text.replace("\n", ending).encode()
+        path.write_bytes(data if final else data[:-len(ending)])
+
+    write(path.read_text())
+    for chunk in (1, 2, 3, graphs._READ_CHUNK):
+        monkeypatch.setattr(graphs, "_READ_CHUNK", chunk)
+        assert graphs._count_lines(path) == text_mode_lines(path) == g.edge_count + 1
+        assert graphs.load_edge_list(path) == g
+    for text, want in [("3 2\n0 1\n", "line 2: header declares 2 edges, found 1"),
+                       ("3 1\n0 1\n0 2\n", "line 3: more than 1 edges declared in header"),
+                       ("3 1\n0 x\n", "line 2: non-integer vertex in '0 x'")]:
+        write(text)
+        with pytest.raises(graphs.EdgeListParseError) as exc:
+            graphs.load_edge_list(path)
+        assert str(exc.value) == want
+
+
 def test_duplicate_edge_names_its_first_line(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("5 4\n0 1\n1 2\n2 3\n1 2\n")
@@ -825,8 +877,9 @@ def test_validate_graph_rejections_across_key_blocks(g, message, chunk, monkeypa
 
 
 def test_validate_graph_scratch_is_about_one_key_per_arc():
-    # the reversed keys are the one arc-sized array; the forward keys and
-    # the sources are formed a block of _ARC_CHUNK arcs at a time
+    # the reversed keys are the one arc-sized array, uint32 for n <= 2^16;
+    # the forward keys and the sources are formed a block of _ARC_CHUNK
+    # arcs at a time
     g = graphs.gen_erdos_renyi(4096, 0.15, 0)
     graphs.validate_graph(graphs.gen_complete(3))
     tracemalloc.start()
@@ -836,7 +889,7 @@ def test_validate_graph_scratch_is_about_one_key_per_arc():
     finally:
         tracemalloc.stop()
     assert g.indices.dtype == np.int32
-    assert peak <= 1.3 * 8 * g.indices.size
+    assert peak <= 1.3 * 4 * g.indices.size
 
 
 # edges at the labels where the decimal width grows
@@ -908,19 +961,41 @@ def check_one_broken_reverse_arc(g, a, b):
 
 def test_keys_past_int32_round_trip_and_stay_exact(tmp_path):
     # n^2 > 2^31: a key src * n + dst computed in 32 bits would wrap
-    n = 70_000
-    g = pairs_graph(n, [(0, 1), (1, n - 1), (12_345, n - 2), (n - 2, n - 1)])
-    assert g.n ** 2 > 2 ** 31
+    check_keys_round_trip(tmp_path, 70_000)
+
+
+@pytest.mark.parametrize("n", [2 ** 16, 2 ** 16 + 1])
+def test_keys_at_the_uint32_limit_round_trip(tmp_path, n):
+    # n = 2^16 is the largest n with uint32 keys, and its last arc
+    # (n - 1) -> (n - 2) has the largest, 2^32 - 2; one vertex more and
+    # the keys are int64
+    keys = check_keys_round_trip(tmp_path, n)
+    assert keys.dtype == (np.uint32 if n == 2 ** 16 else np.int64)
+    assert int(keys[-1]) == (n - 1) * n + n - 2
+
+
+def check_keys_round_trip(tmp_path, n):
+    """Build, validate, save and reload a graph whose arcs reach the
+    largest keys of n vertices, and reject two asymmetric rewires of it,
+    with int64 and with int32 indices; returns its sorted arc keys."""
+    pairs = [(0, 1), (1, n - 1), (12_345, n - 2), (n - 2, n - 1)]
+    e = np.array(pairs, dtype=np.int32)
+    keys = np.sort(graphs._arc_keys(n, e[:, 0], e[:, 1]))
+    g = pairs_graph(n, pairs)
+    assert g == graphs._from_keys(n, keys)
+    assert g.indptr[n - 1] == 6 and g.indptr[n] == 8
     graphs.validate_graph(g)
     path = tmp_path / "g.txt"
     graphs.save_edge_list(g, path)
     back = graphs.load_edge_list(path)
     graphs.validate_graph(back)
     assert back == g
-    asym = rewired(g, (n - 1, n - 2, None))
-    with pytest.raises(ValueError, match="not symmetric"):
-        graphs.validate_graph(asym)
-    # the same graphs with int32 indices: the keys must still be int64
+    assert nbrs(back, n - 1).tolist() == [1, n - 2]
+    # the same graphs with int32 indices: the keys must still not wrap
     graphs.validate_graph(graphs.Graph(g.indptr, g.indices.astype(np.int32)))
-    with pytest.raises(ValueError, match="not symmetric"):
-        graphs.validate_graph(graphs.Graph(asym.indptr, asym.indices.astype(np.int32)))
+    for asym in (rewired(g, (n - 1, n - 2, None)), rewired(g, (n - 2, n - 1, 3))):
+        with pytest.raises(ValueError, match="not symmetric"):
+            graphs.validate_graph(asym)
+        with pytest.raises(ValueError, match="not symmetric"):
+            graphs.validate_graph(graphs.Graph(asym.indptr, asym.indices.astype(np.int32)))
+    return keys

@@ -140,9 +140,20 @@ def test_lanczos_matches_dense_on_adversarial_graphs(name):
         assert s.kappa == pytest.approx(kappa, abs=1e-9)
 
 
-def test_one_lanczos_call_per_spectrum(monkeypatch):
-    # one call per spectrum, stopped at the tolerance its residual gate
-    # checks; the crossing subgraph's solve stops at the default 1e-8
+def test_unions_of_random_components_match_dense():
+    # one Lanczos run cannot see a top repeated across equal components:
+    # it gave two copies of G(60, 0.05) too small a kappa at 28 of these
+    # 40 seeds (3.5675 against 4.5334 at seed 0).  G(60, 0.05) itself
+    # often has several components, and the three-part union puts the
+    # repeated top beside a different component
+    for seed in range(40):
+        g = graphs.gen_erdos_renyi(60, 0.05, seed)
+        checked_summary(copies(g, 2))
+        checked_summary(union(g, graphs.gen_erdos_renyi(60, 0.05, seed + 40), g))
+
+
+def recorded_eigsh(monkeypatch):
+    """A list that records (k, which, tol) of every eigsh call."""
     import scipy.sparse.linalg as sla
 
     calls = []
@@ -153,6 +164,37 @@ def test_one_lanczos_call_per_spectrum(monkeypatch):
         return real(a, k, **kwargs)
 
     monkeypatch.setattr(sla, "eigsh", recording)
+    return calls
+
+
+def test_components_are_solved_only_while_they_can_change_the_top_two(monkeypatch):
+    calls = recorded_eigsh(monkeypatch)
+    big = graphs.gen_erdos_renyi(100, 0.3, 9)
+    k2, isolated = graphs.gen_complete(2), graphs.gen_erdos_renyi(5, 0.0, 0)
+    # one component with an edge, isolated vertices aside: the single call
+    # on the whole adjacency, whatever the labels
+    for g in (union(big, isolated), union(isolated, big, isolated)):
+        checked_summary(g)
+        assert calls == [(2, "LM", 1e-8)]
+        calls.clear()
+    # each copy of big takes a call; after the second, lambda1 is the
+    # second magnitude, and neither C_8 (lambda1 <= 2) nor a K_2 can
+    # beat it
+    s = checked_summary(union(cycle(8), big, *[k2] * 20, big, isolated))
+    assert calls == [(2, "LM", 1e-8)] * 2
+    assert s.kappa == s.lambda1
+    calls.clear()
+    # cliques in closed form, exactly: K_2 (+-1), K_7 (6, then -1)
+    s = checked_summary(union(*[k2] * 30, graphs.gen_complete(7), isolated))
+    assert (s.lambda1, s.kappa, s.residual, calls) == (6.0, 1.0, 0.0, [])
+    s = checked_summary(union(cycle(9), graphs.gen_complete(3)))
+    assert len(calls) == 1 and s.lambda1 == pytest.approx(2.0, abs=1e-9)
+
+
+def test_one_lanczos_call_per_spectrum(monkeypatch):
+    # one call per spectrum, stopped at the tolerance its residual gate
+    # checks; the crossing subgraph's solve stops at the default 1e-8
+    calls = recorded_eigsh(monkeypatch)
     g = graphs.gen_erdos_renyi(100, 0.3, 9)
     s = spectral.spectrum_summary(g)
     assert calls == [(2, "LM", 1e-8)]
@@ -358,12 +400,15 @@ def test_iterative_on_large_sparse_graph():
 
 
 def test_complete_graph_spectrum_does_not_load_the_sparse_eigensolver():
+    # nor does a connected graph's Lanczos path load the component search
     code = ("import sys, graphmem\n"
             "graphmem.spectrum_summary(graphmem.gen_complete(50))\n"
-            "print('scipy.sparse.linalg' in sys.modules)\n")
+            "print('scipy.sparse.linalg' in sys.modules)\n"
+            "graphmem.spectrum_summary(graphmem.gen_erdos_renyi(100, 0.3, 9))\n"
+            "print('scipy.sparse.csgraph' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_min_degree_condition_report():
@@ -482,3 +527,17 @@ def test_subgraph_bounds_validates_sets():
         spectral.subgraph_bounds(g, s, [1, 1], [2])
     with pytest.raises(ValueError):
         spectral.subgraph_bounds(g, s, [0], [10])
+
+
+@settings(max_examples=100, deadline=None)
+@given(bound_graphs())
+def test_spectrum_and_edge_connectivity_on_unions_match_dense(g):
+    # the search that keeps connected graphs on one Lanczos call agrees
+    # with scipy's component labels
+    from scipy.sparse.csgraph import connected_components
+
+    if g.edge_count:
+        labels = connected_components(graphs.adjacency_matrix(g), directed=False)[1]
+        carried = np.unique(labels[g.degrees > 0]).size
+        assert spectral._edges_connected(g) == (carried == 1)
+    checked_summary(g)
