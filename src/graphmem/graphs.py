@@ -538,8 +538,8 @@ def load_edge_list(path) -> Graph:
 
     Syntax: a header line "n edge_count", then one "i j" line per edge.
     Fields are ASCII integers with an optional sign, separated by
-    whitespace; lines end in "\n" or "\r\n", the last one optionally in
-    neither; there are no comments and no blank lines.
+    whitespace; lines end in "\n", "\r\n" or a lone "\r", the last one
+    optionally in none of them; there are no comments and no blank lines.
 
     The body is parsed by one int32 ``np.loadtxt`` call and checked with
     whole-array tests; the parsed pairs are dropped once their arc keys

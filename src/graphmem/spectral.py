@@ -3,15 +3,17 @@
 kappa = max(|lambda_2|, |lambda_N|) is the largest eigenvalue magnitude
 away from the top; lambda_1 - kappa is the spectral gap.  K_n's spectrum
 is known in closed form (n - 1 once, -1 with multiplicity n - 1).  Every
-other graph with an edge gets one call of ARPACK's implicitly restarted
-Lanczos (scipy.sparse.linalg.eigsh; Lehoucq, Sorensen and Yang, ARPACK
-Users' Guide, 1998) for the two eigenpairs of largest magnitude, from a
-fixed start vector, stopped at the same tolerance its residuals
-||A v - lambda v|| are then checked against.  For a
+other graph whose edges lie in one connected component gets one call of
+ARPACK's implicitly restarted Lanczos (scipy.sparse.linalg.eigsh;
+Lehoucq, Sorensen and Yang, ARPACK Users' Guide, 1998) for the two
+eigenpairs of largest magnitude, from a fixed start vector, stopped at
+the same tolerance its residuals ||A v - lambda v|| are then checked
+against.  For a
 non-negative symmetric A, Perron-Frobenius gives lambda_1 = rho(A) >=
 |lambda_N|, so those two magnitudes are lambda_1 and kappa.  Where an
 upper bound on lambda_1 / kappa is enough, _ratio_bound gives a certified
-one from a few sparse products, without the solve.
+one from a few sparse products, without the solve.  A graph whose edges
+span several components has its components solved one by one.
 """
 from __future__ import annotations
 
@@ -120,18 +122,21 @@ def _lambda1_kappa_iterative(g: Graph, tol: float) -> tuple[float, float, float]
     its largest degree and sqrt(2m - n + 1) (Hong, 1988): components are
     taken in descending order of that bound, and the rest are skipped once
     it cannot beat the second magnitude found."""
-    a = adjacency_matrix(g)
-    if _edges_connected(g):
-        return _top_two(a, tol)
-    # imported here: about 1 MB resident, which connected graphs never need
+    # imported here, as scipy.sparse.linalg is: the closed-form spectra and
+    # the bound path never need it
     from scipy.sparse.csgraph import connected_components
 
-    count, labels = connected_components(a, directed=False)
+    a = adjacency_matrix(g)
+    # a is symmetric, so its strong components are its connected ones; the
+    # strong search reads a as it is, where the undirected one first builds
+    # its transpose, 12 bytes per arc
+    count, labels = connected_components(a, directed=True, connection="strong")
     deg = g.degrees
     carried = np.unique(labels[deg > 0])
-    # block-diagonal: component c holds rows ends[c] - size[c] .. ends[c] - 1
+    if carried.size == 1:
+        return _top_two(a, tol)
+    # component c's vertices, ascending: order[ends[c] - size[c]:ends[c]]
     order = np.argsort(labels, kind="stable")
-    a = a[order][:, order]
     size = np.bincount(labels, minlength=count)
     ends = np.cumsum(size)
     arcs = np.bincount(labels, weights=deg, minlength=count)
@@ -146,28 +151,11 @@ def _lambda1_kappa_iterative(g: Graph, tol: float) -> tuple[float, float, float]
         if arcs[c] == k * (k - 1):
             found = (k - 1.0, 1.0, 0.0)
         else:
-            lo = int(ends[c]) - k
-            found = _top_two(a[lo:lo + k, lo:lo + k], tol)
+            part = order[int(ends[c]) - k:int(ends[c])]
+            found = _top_two(a[part][:, part], tol)
         mags = sorted(mags + list(found[:2]), reverse=True)[:2]
         residual = max(residual, found[2])
     return mags[0], mags[1], residual
-
-
-def _edges_connected(g: Graph) -> bool:
-    """Whether every edge of g lies in one connected component, by a
-    breadth-first search from the first vertex with an edge that takes a
-    whole level per step, so it reads each arc once."""
-    deg = g.degrees
-    seen = np.zeros(g.n, dtype=bool)
-    level = np.flatnonzero(deg)[:1]
-    while level.size:
-        seen[level] = True
-        # the level's rows' arcs, as one run of indices per row
-        count = deg[level].astype(np.int64)
-        start = g.indptr[level] - (np.cumsum(count) - count)
-        nbrs = g.indices[np.arange(count.sum()) + np.repeat(start, count)]
-        level = np.unique(nbrs[~seen[nbrs]])
-    return np.count_nonzero(seen) == np.count_nonzero(deg)
 
 
 def _top_two(a, tol: float) -> tuple[float, float, float]:
