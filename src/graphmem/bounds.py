@@ -22,7 +22,8 @@ import numpy as np
 
 from . import hopfield
 from .graphs import Graph, _erdos_renyi_pairs, edge_endpoints, gen_erdos_renyi
-from .hopfield import FieldEngine, PatternSet, _sign, sample_patterns
+from .hopfield import (FieldEngine, PatternSet, _exact_type, _h_s, _h_t, _sign,
+                       sample_patterns)
 from .spectral import SpectralSummary
 
 # 2^16 states is the largest full enumeration worth doing
@@ -114,8 +115,8 @@ def _form_values(g: Graph, samples: int, seed) -> np.ndarray:
     x, and one call of hopfield's CSR kernel with U's arcs (all ones)
     gives U x.  U's arcs are the arcs i -> j of edge_endpoints with j > i,
     still in CSR order, so each edge is taken once.  |(U x)_i| <= max
-    degree, so U x and x o U x are exact in int16 while the max degree is
-    below 2^15 (int32 otherwise), and the columns are summed in int64.
+    degree, so U x and x o U x are exact in hopfield._exact_type of the
+    max degree, and the columns are summed in int64.
     The blocks are spread over hopfield's thread pool, and come back in
     order."""
     n = g.n
@@ -125,11 +126,10 @@ def _form_values(g: Graph, samples: int, seed) -> np.ndarray:
     # offsets in the columns' own type, so the kernel converts neither
     up_ptr = np.concatenate(([0], np.cumsum(np.bincount(src[up], minlength=n))),
                             dtype=up_cols.dtype)
-    dtype = np.int16 if int(g.degrees.max(initial=0)) < 2 ** 15 else np.int32
-    ones = np.ones(up_cols.size, dtype=dtype)
+    ones = np.ones(up_cols.size, _exact_type(int(g.degrees.max(initial=0))))
 
     def forms(bits):
-        x = np.empty((n, bits.shape[0]), dtype=dtype)
+        x = np.empty((n, bits.shape[0]), dtype=ones.dtype)
         np.multiply(bits.T, 2, out=x)
         x -= 1
         ux = np.zeros_like(x)
@@ -170,10 +170,11 @@ def _sign_bits(rng, shape: tuple) -> np.ndarray:
 
 def _energy_check(g: Graph, trials: int, rng) -> np.ndarray:
     """H_S(s0), H_S(S s0), H_T(s0) and H_T(T s0) of `trials` random
-    memories on g, as rows of a (trials, 4) array, each -(exact integer)/n
-    exactly as energy_S and energy_T give it.  Trial k draws from rng, in
-    turn, its pattern count M in 1..4, its M patterns (sample_patterns)
-    and its start s0, the draws of one FieldEngine per trial.
+    memories on g, as rows of a (trials, 4) array, each taken by
+    hopfield's _h_s and _h_t, as energy_S and energy_T take it.  Trial k
+    draws from rng, in turn, its pattern count M in 1..4, its M patterns
+    (sample_patterns) and its start s0, the draws of one FieldEngine per
+    trial.
 
     Every field goes through one adjacency engine (one all-ones pattern,
     so J is A): h(s) = sum_mu xi^mu o A (xi^mu o s), so a
@@ -211,11 +212,11 @@ def _energy_block(engine: FieldEngine, xis: list, starts: list) -> tuple:
     |h_i| <= 4 deg_i and every field is exact in int32.  The sequential
     sweep runs every trial at once through hopfield._run_sweep: per run,
     one product of A's run rows (all ones) with y, then the run's new
-    spins sgn(h) (sgn(0) = +1) and its rows of y rewritten.  y and the
-    sweep's own array of ones are int16 when the maximum degree is below
-    2^15, the bound on every partial sum of A y, and int32 otherwise."""
+    spins _sign(h) and its rows of y rewritten.  y and the sweep's own
+    array of ones take hopfield._exact_type of the maximum degree, the
+    bound on every partial sum of A y."""
     g = engine.g
-    n, ms = g.n, [x.shape[0] for x in xis]
+    ms = [x.shape[0] for x in xis]
     xi = np.ascontiguousarray(np.concatenate(xis).T)
     owner = np.repeat(np.arange(len(ms)), ms)
     first = np.cumsum([0] + ms[:-1])
@@ -226,20 +227,12 @@ def _energy_block(engine: FieldEngine, xis: list, starts: list) -> tuple:
         ay *= xi
         return np.add.reduceat(ay, first, axis=1)
 
-    # n H_S and n H_T as exact int64 sums, then over n as energy_S/T do
-    def energy_s(s, h):
-        return -(s * h).sum(axis=0, dtype=np.int64) / n
-
-    def energy_t(h):
-        return -np.abs(h).sum(axis=0, dtype=np.int64) / n
-
     h = trial_fields(s0)
-    es0, et0, stepped = energy_s(s0, h), energy_t(h), _sign(h)
+    es0, et0, stepped = _h_s(s0, h), _h_t(h), _sign(h)
     del h
-    dtype = np.int16 if int(g.degrees.max(initial=0)) < 2 ** 15 else np.int32
-    ones = np.ones(g.indices.size, dtype)
+    ones = np.ones(g.indices.size, _exact_type(int(g.degrees.max(initial=0))))
     swept = s0.copy()
-    y = (xi * swept[:, owner]).astype(dtype)
+    y = (xi * swept[:, owner]).astype(ones.dtype)
 
     def update(lo, hi, ay):
         ay *= xi[lo:hi]
@@ -248,7 +241,7 @@ def _energy_block(engine: FieldEngine, xis: list, starts: list) -> tuple:
 
     hopfield._run_sweep(g, ones, y, update)
     del y
-    es1, et1 = energy_s(swept, trial_fields(swept)), energy_t(trial_fields(stepped))
+    es1, et1 = _h_s(swept, trial_fields(swept)), _h_t(trial_fields(stepped))
     return swept, stepped, np.column_stack([es0, es1, et0, et1])
 
 

@@ -322,6 +322,11 @@ def _spot_trial(g: Graph, p: PatternSet, rho: float, k_max: int,
     return out.terminal == "fixed_point" and np.array_equal(out.final, target)
 
 
+def _derived_seed(*entropy: int) -> int:
+    """One integer seed drawn from np.random.SeedSequence(entropy)."""
+    return int(np.random.SeedSequence(entropy=entropy).generate_state(1)[0])
+
+
 def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
                     threshold: float, seed: int) -> CapacityEstimate:
     """Largest pattern count M with recovery rate >= threshold.
@@ -350,14 +355,12 @@ def capacity_search(g: Graph, rho: float, k_max: int | None, trials: int,
     curve: dict[int, CurvePoint] = {}
 
     def passes(m: int) -> bool:
-        pat_seed = np.random.SeedSequence(entropy=(seed, m, 1))
-        p = sample_patterns(m, g.n, pat_seed)
+        p = sample_patterns(m, g.n, np.random.SeedSequence(entropy=(seed, m, 1)))
         engine = FieldEngine(g, p)
-        rate_seed = int(np.random.SeedSequence(entropy=(seed, m, 2)).generate_state(1)[0])
-        est = recovery_rate(g, p, rho, k_max, trials, rate_seed, engine=engine)
+        est = recovery_rate(g, p, rho, k_max, trials, _derived_seed(seed, m, 2),
+                            engine=engine)
         if est.ci_lo <= threshold <= est.ci_hi:
-            retry_seed = int(np.random.SeedSequence(entropy=(seed, m, 3)).generate_state(1)[0])
-            est = recovery_rate(g, p, rho, k_max, 4 * trials, retry_seed,
+            est = recovery_rate(g, p, rho, k_max, 4 * trials, _derived_seed(seed, m, 3),
                                 engine=engine)
         spot_ok = _spot_trial(g, p, rho, k_max, engine)
         curve[m] = CurvePoint(**vars(est), m=m, spot_ok=spot_ok)

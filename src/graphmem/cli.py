@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -337,7 +336,7 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int, rho: float,
                 raise graphs_mod.InfeasibleWeightsError(f"N={n}: {e}") from None
     rows = []
     for n in sizes:
-        gseed = int(np.random.SeedSequence(entropy=(seed, n, 0)).generate_state(1)[0])
+        gseed = capacity_mod._derived_seed(seed, n, 0)
         if suite == "complete":
             g = graphs_mod.gen_complete(n)
             predictor = n / math.log(n)
@@ -351,10 +350,9 @@ def reproduce_corollaries(suite: str, sizes: list[int], seed: int, rho: float,
         d = graphs_mod.degree_stats(g)
         h1 = spectral_mod.check_h1(s, d, 0.5)
         h2 = spectral_mod.check_h2(s, g.n, 1.0)
-        cseed = int(np.random.SeedSequence(entropy=(seed, n, 1)).generate_state(1)[0])
         est = capacity_mod.capacity_search(
             g, rho=rho, k_max=capacity_mod.default_k_max(s, g.n), trials=trials,
-            threshold=threshold, seed=cseed)
+            threshold=threshold, seed=capacity_mod._derived_seed(seed, n, 1))
         steps = [c.mean_steps for c in est.curve
                  if c.m == est.m_hat and not math.isnan(c.mean_steps)]
         rows.append({
@@ -454,14 +452,8 @@ def _reject_unread_flags(params: dict) -> None:
             raise ValueError(f"--check {check} does not read --{flag}")
 
 
-def _default_seed() -> int:
-    env = os.environ.get("GRAPHMEM_SEED")
-    return int(env) if env else 0
-
-
 def _add_common(sub, with_out=True):
-    sub.add_argument("--seed", type=int, default=None,
-                     help="master seed (default: GRAPHMEM_SEED or 0)")
+    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     if with_out:
         sub.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -552,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
-    seed = ns.seed if ns.seed is not None else _default_seed()
     skip = {"command", "seed", "out"}
     params = {k: v for k, v in vars(ns).items() if k not in skip and v is not None}
     if ns.command == "verify":
@@ -564,7 +555,7 @@ def config_from_args(ns: argparse.Namespace) -> ExperimentConfig:
         except ValueError:
             raise ValueError(f"--sizes must be comma-separated integers, got "
                              f"{params['sizes']!r}") from None
-    return ExperimentConfig(command=ns.command, params=params, master_seed=seed,
+    return ExperimentConfig(command=ns.command, params=params, master_seed=ns.seed,
                             output_path=getattr(ns, "out", None))
 
 

@@ -15,9 +15,9 @@ product, of one state or of a block, goes through one CSR kernel
 (_product), split by rows over every available CPU (see FieldEngine).  The
 parallel map T flips every spin to sgn(h_i) simultaneously (sgn(0) = +1);
 the sequential sweep S applies the same rule vertex by vertex in index
-order.  Energies use the 1/n normalization:
+order.  Energies use the 1/n normalization, from exact int64 sums:
 H_S = -(1/n) sum_{i,j} sigma_i sigma_j a_ij sum_mu xi_i xi_j over ordered
-pairs, H_T = -(1/n) sum_i |h_i|.
+pairs, H_T = -(1/n) sum_i |h_i| (_h_s and _h_t, which bounds shares).
 """
 from __future__ import annotations
 
@@ -154,8 +154,8 @@ class FieldEngine:
       CSR arrays, built by popcount: with x_i vertex i's pattern signs
       packed into 64-bit words, J_ij = M - 2 popcount(x_i XOR x_j).  Every
       partial sum the product accumulates for row i is bounded by
-      r_i = sum_j |J_ij|, so the weights and the product are int16 when
-      max_i r_i < 2^15 and int32 otherwise (r_i <= M deg_i < 2^31 under
+      r_i = sum_j |J_ij|, so the weights and the product take
+      _exact_type(max_i r_i), int16 or int32 (r_i <= M deg_i < 2^31 under
       the guard).  A state is a one-column block, and a block is split
       into one row run of J per available CPU (_rows), each one _product
       call on a shared thread pool.
@@ -181,19 +181,16 @@ class FieldEngine:
         else:
             self.storage = "csr"
             self._data = self._edge_weights()
-            if self._max_row_sum < 2 ** 15:
-                self._data = self._data.astype(np.int16)
             cuts = _row_cuts(g.indptr, _THREADS)
             self._rows = list(zip(cuts[:-1], cuts[1:]))
 
     def _edge_weights(self) -> np.ndarray:
-        """Per-arc pattern products M - 2 popcount(x_i XOR x_j) as int32,
-        aligned with g.indices; also sets _max_row_sum to max_i r_i.  Rows
-        go in runs of about 4 MB of gathered words each."""
+        """Per-arc pattern products M - 2 popcount(x_i XOR x_j), aligned
+        with g.indices, in _exact_type(max_i r_i).  Rows go in runs of
+        about 4 MB of gathered words each."""
         indptr, indices = self.g.indptr, self.g.indices
         x = _pack(self.p.bits)
-        out = np.empty(indices.size, dtype=np.int32)
-        self._max_row_sum = 0
+        out, top = np.empty(indices.size, dtype=np.int32), 0
         gathered = indices.size * x.shape[1] * x.itemsize     # bytes per side
         rows = _row_cuts(indptr, -(-gathered // 4_000_000))
         for lo, hi in zip(rows[:-1], rows[1:]):
@@ -206,8 +203,8 @@ class FieldEngine:
             # r_i <= M deg_i < 2^31, so the int32 row sums are exact; empty
             # rows are left out, so each segment is one row's arcs
             row_sums = np.add.reduceat(np.abs(out[a:b]), (indptr[lo:hi] - a)[deg > 0])
-            self._max_row_sum = max(self._max_row_sum, int(row_sums.max(initial=0)))
-        return out
+            top = max(top, int(row_sums.max(initial=0)))
+        return out.astype(_exact_type(top), copy=False)
 
     def fields(self, s: np.ndarray) -> np.ndarray:
         """h(s) for a state (n,) or each column of a block (n, B), exact
@@ -268,14 +265,29 @@ class FieldEngine:
                     u += 2 * new * col
             return out
         y = out[:, np.newaxis].astype(self._data.dtype)
-        # sgn(h) | 1 is _sign in y's type: sgn(0) = 0 becomes +1
-        _run_sweep(self.g, self._data, y, lambda lo, hi, h: np.sign(h) | 1)
+        _run_sweep(self.g, self._data, y, lambda lo, hi, h: _sign(h))
         return y[:, 0].astype(np.int8)
 
 
+def _exact_type(bound: int) -> type:
+    """The narrowest integer type of a CSR product whose every partial sum
+    has magnitude at most bound: int16 below 2^15, int32 otherwise."""
+    return np.int16 if bound < 2 ** 15 else np.int32
+
+
 def _sign(h: np.ndarray) -> np.ndarray:
-    # sgn(0) = +1 by convention
+    """sgn(h) as int8, with sgn(0) = +1 by convention."""
     return (h >= 0).view(np.int8) * 2 - 1
+
+
+def _h_s(s: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """H_S = -(1/n) sum_i s_i h_i per column, from the exact int64 sum."""
+    return -(s * h).sum(axis=0, dtype=np.int64) / h.shape[0]
+
+
+def _h_t(h: np.ndarray) -> np.ndarray:
+    """H_T = -(1/n) sum_i |h_i| per column, from the exact int64 sum."""
+    return -np.abs(h).sum(axis=0, dtype=np.int64) / h.shape[0]
 
 
 def sequential_sweep(engine: FieldEngine, s) -> np.ndarray:
@@ -286,12 +298,11 @@ def sequential_sweep(engine: FieldEngine, s) -> np.ndarray:
 
 def energy_S(engine: FieldEngine, s) -> float:
     s = np.asarray(s, dtype=np.int8)
-    return -float(np.dot(s.astype(np.int64), engine.fields(s))) / engine.g.n
+    return float(_h_s(s, engine.fields(s)))
 
 
 def energy_T(engine: FieldEngine, s) -> float:
-    s = np.asarray(s, dtype=np.int8)
-    return -float(np.abs(engine.fields(s)).sum()) / engine.g.n
+    return float(_h_t(engine.fields(np.asarray(s, dtype=np.int8))))
 
 
 @dataclass(frozen=True)
@@ -387,7 +398,7 @@ def run_dynamics(g: Graph, p: PatternSet, s0, mode: str = "parallel",
     for k in range(1, k_max + 1):
         if parallel:
             h = eng.fields(s)
-            trace.append(-float(np.abs(h).sum()) / g.n)
+            trace.append(float(_h_t(h)))
             nxt = _sign(h)
         else:
             trace.append(energy_S(eng, s))

@@ -588,3 +588,51 @@ def test_energy_check_consumes_the_per_trial_draws(seed, monkeypatch):
     for a, b in zip(got_patterns + got_starts, patterns + starts):
         assert a.dtype == b.dtype == np.int8 and np.array_equal(a, b)
     assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_exact_type_at_its_edge():
+    # a product whose partial sums reach 2^15 no longer fits int16
+    assert hopfield._exact_type(0) is np.int16
+    assert hopfield._exact_type(2 ** 15 - 1) is np.int16
+    assert hopfield._exact_type(2 ** 15) is np.int32
+
+
+@pytest.fixture(scope="module")
+def star():
+    """A star with 2^15 leaves: its centre's degree is the first that needs
+    int32 products."""
+    leaves = 2 ** 15
+    return graphs._from_pairs(leaves + 1, [np.zeros(leaves, np.int32),
+                                           np.arange(1, leaves + 1, dtype=np.int32)])
+
+
+def product_types(monkeypatch):
+    """Record the (weights, block) types of every hopfield._product call."""
+    seen, real = set(), hopfield._product
+
+    def spy(indptr, indices, data, x, out):
+        seen.add((data.dtype, x.dtype))
+        real(indptr, indices, data, x, out)
+
+    monkeypatch.setattr(hopfield, "_product", spy)
+    return seen
+
+
+def test_form_values_take_int32_past_int16(star, monkeypatch):
+    # 200 samples span two draw chunks of 5e6 // n = 152 rows
+    assert int(star.degrees.max()) == 2 ** 15
+    seen = product_types(monkeypatch)
+    got = bounds._form_values(star, 200, 5)
+    assert seen == {(np.dtype(np.int32), np.dtype(np.int32))}
+    assert np.array_equal(got, int64_forms(star, sampled_bits(star.n, 200, 5)))
+
+
+def test_energy_check_takes_int32_past_int16(star, monkeypatch):
+    # every state and energy is the per-trial engines' value, and the
+    # adjacency engine's weights, the block products and the sweep's ones
+    # are all int32
+    _, calls = assert_matches_per_trial(star, 12, 4, 2 ** 18, monkeypatch)
+    assert len(calls) > 1
+    seen = product_types(monkeypatch)
+    bounds._energy_check(star, 12, np.random.default_rng(4))
+    assert seen == {(np.dtype(np.int32), np.dtype(np.int32))}

@@ -559,16 +559,25 @@ def test_io_errors_exit_3(tmp_path):
                    "--out", str(tmp_path / "nodir" / "s.json")) == 3
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
+def test_seed_ignores_environment(tmp_path, monkeypatch):
+    # --seed defaults to 0; no environment variable moves it
     gpath = gen_graph_file(tmp_path)
     out = tmp_path / "s.json"
     monkeypatch.setenv("GRAPHMEM_SEED", "77")
     assert run_cli("spectrum", "--graph", str(gpath), "--out", str(out)) == 0
-    assert cli.parse_config_echo(out.read_text())["master_seed"] == 77
-    # explicit flag wins over the environment
+    assert cli.parse_config_echo(out.read_text())["master_seed"] == 0
     assert run_cli("spectrum", "--graph", str(gpath), "--seed", "5",
                    "--out", str(out)) == 0
     assert cli.parse_config_echo(out.read_text())["master_seed"] == 5
+
+
+def test_undecodable_graph_file_exits_2_naming_its_line(tmp_path, capsys):
+    gpath = tmp_path / "bad.txt"
+    gpath.write_bytes(b"3 1\n0 \xff1\n")
+    out = tmp_path / "c.csv"
+    assert run_cli("capacity", "--graph", str(gpath), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: non-integer vertex")
+    assert not out.exists()
 
 
 def test_reproduce_complete_suite(tmp_path):

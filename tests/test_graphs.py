@@ -632,15 +632,21 @@ def test_run_count(pairs, runs):
 
 def test_integer_fields_are_ascii_digits(tmp_path):
     # np.loadtxt reads neither "_" separators nor other scripts' digits,
-    # although Python's int() reads both
+    # although Python's int() reads both; a byte that is not UTF-8 (written
+    # here as its surrogate, \udcff for 0xff) is a malformed field too, not
+    # a decode error
     path = tmp_path / "g.txt"
     for text, want in [("3 1\n0 1_0\n", "line 2: non-integer vertex in '0 1_0'"),
                        ("3 1\n0 ٢\n", "line 2: non-integer vertex in '0 ٢'"),
-                       ("1_0 0\n", "line 1: non-integer header field in '1_0 0'")]:
-        path.write_text(text, encoding="utf-8")
+                       ("1_0 0\n", "line 1: non-integer header field in '1_0 0'"),
+                       ("3 1\n0 \udcff1\n", "line 2: non-integer vertex in '0 \\udcff1'"),
+                       ("3 \udcff\n0 1\n", "line 1: non-integer header field in '3 \\udcff'")]:
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(graphs.EdgeListParseError) as exc:
             graphs.load_edge_list(path)
         assert str(exc.value) == want
+    path.write_bytes(b"3 1\n0 \xff1\n")
+    assert graphs._parse_pairs(path) is None
     path.write_text("+3 1\n-0 +2\n")
     assert graphs.load_edge_list(path) == raw_graph([[2], [], [0]])
 
