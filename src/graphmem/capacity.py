@@ -286,6 +286,8 @@ def recovery_rate(g: Graph, p: PatternSet, rho: float, k_max: int,
     if not 0.0 <= rho < 0.5:
         raise ValueError("rho must lie in [0, 1/2)")
     n, k = g.n, _flip_count(rho, g.n)
+    if engine is not None and (engine.g is not g or engine.p is not p):
+        raise ValueError("engine was built from another graph or pattern set")
     eng = engine if engine is not None else FieldEngine(g, p)
     rng = np.random.default_rng(int(seed))
     mus = rng.integers(p.m_patterns, size=trials)

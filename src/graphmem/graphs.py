@@ -551,9 +551,9 @@ def load_edge_list(path) -> Graph:
     line, an out-of-range vertex, a self-loop, an out-of-order pair, a
     duplicate edge, or an edge count that disagrees with the header.  On a
     line with several faults the first of that list is reported.  A byte
-    that is not UTF-8 is read as a lone surrogate, so its field is malformed.
+    that is not UTF-8 is read as its escape (\xff), so its field is malformed.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8", errors="backslashreplace") as fh:
         n, count = _read_header(fh)
     lines = _count_lines(path) - 1
     pairs = _parse_pairs(path) if lines else np.empty((0, 2), np.int32)
@@ -637,7 +637,7 @@ def _raise_first_bad_line(path, n: int, count: int) -> NoReturn:
     file that failed load_edge_list's whole-array checks."""
     first: dict[int, int] = {}     # i * n + j -> the line it first appears on
     lineno = 1
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8", errors="backslashreplace") as fh:
         fh.readline()
         for lineno, raw in enumerate(fh, start=2):
             raw = raw.rstrip("\n")

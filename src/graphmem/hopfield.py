@@ -162,8 +162,7 @@ class FieldEngine:
 
     fields() accepts one state (n,) or a block of states (n, B) and
     returns exact fields of the same shape, widened to int32 whatever the
-    type of the product; sweep() runs the sequential map once over a
-    single state in the same arithmetic.
+    type of the product.
     """
 
     def __init__(self, g: Graph, p: PatternSet):
@@ -245,29 +244,6 @@ class FieldEngine:
         kept."""
         return (_sign(self.fields(self.p.bits.T)) == self.p.bits.T).all(axis=0)
 
-    def sweep(self, s: np.ndarray) -> np.ndarray:
-        """One sequential sweep of the (n,) state s: vertices update in
-        index order, each seeing every earlier update.  On "complete" it
-        keeps u = Xi s and adds 2 s_i Xi[:, i] when spin i flips to s_i, so
-        a vertex costs O(M); u's entries are integers of magnitude <= n.
-
-        On "csr" it runs _run_sweep on the +-1 state: a run's new spins
-        are the signs of its product.  Every partial sum of J s is bounded
-        by r_i, so both storages compute in the type, and under the bound,
-        of fields()."""
-        out = np.array(s, dtype=np.int8)
-        if self.storage == "complete":
-            u = self._xi @ out.astype(self._xi.dtype)
-            for i, col in enumerate(np.ascontiguousarray(self._xi.T)):
-                new = 1 if col @ u >= self.p.m_patterns * int(out[i]) else -1
-                if new != out[i]:
-                    out[i] = new
-                    u += 2 * new * col
-            return out
-        y = out[:, np.newaxis].astype(self._data.dtype)
-        _run_sweep(self.g, self._data, y, lambda lo, hi, h: _sign(h))
-        return y[:, 0].astype(np.int8)
-
 
 def _exact_type(bound: int) -> type:
     """The narrowest integer type of a CSR product whose every partial sum
@@ -291,9 +267,27 @@ def _h_t(h: np.ndarray) -> np.ndarray:
 
 
 def sequential_sweep(engine: FieldEngine, s) -> np.ndarray:
-    """One full sweep of the sequential map S = T_n ... T_2 T_1: each vertex
-    updates in index order seeing all earlier updates."""
-    return engine.sweep(s)
+    """One full sweep of the sequential map S = T_n ... T_2 T_1 over the
+    (n,) state s: each vertex updates in index order seeing all earlier
+    updates.  On "complete" it keeps u = Xi s and adds 2 s_i Xi[:, i] when
+    spin i flips to s_i, so a vertex costs O(M); u's entries are integers
+    of magnitude <= n.
+
+    On "csr" it runs _run_sweep on the +-1 state: a run's new spins are the
+    signs of its product.  Every partial sum of J s is bounded by r_i, so
+    both storages compute in the type, and under the bound, of fields()."""
+    out = np.array(s, dtype=np.int8)
+    if engine.storage == "complete":
+        u = engine._xi @ out.astype(engine._xi.dtype)
+        for i, col in enumerate(np.ascontiguousarray(engine._xi.T)):
+            new = 1 if col @ u >= engine.p.m_patterns * int(out[i]) else -1
+            if new != out[i]:
+                out[i] = new
+                u += 2 * new * col
+        return out
+    y = out[:, np.newaxis].astype(engine._data.dtype)
+    _run_sweep(engine.g, engine._data, y, lambda lo, hi, h: _sign(h))
+    return y[:, 0].astype(np.int8)
 
 
 def energy_S(engine: FieldEngine, s) -> float:
@@ -392,6 +386,8 @@ def run_dynamics(g: Graph, p: PatternSet, s0, mode: str = "parallel",
         raise ValueError("state length does not match graph")
     if not np.all(np.abs(s) == 1):
         raise ValueError("state entries must be +-1")
+    if engine is not None and (engine.g is not g or engine.p is not p):
+        raise ValueError("engine was built from another graph or pattern set")
     eng = engine if engine is not None else FieldEngine(g, p)
     parallel = mode == "parallel"
     trace, prev = [], None

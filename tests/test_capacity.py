@@ -285,6 +285,16 @@ def test_recovery_rate_deterministic_and_bounded():
     assert a.mean_steps <= 4.0
 
 
+def test_recovery_rate_rejects_an_engine_of_another_pair():
+    # an engine of two patterns would be indexed by five patterns' draws
+    g = graphs.gen_erdos_renyi(30, 0.3, 1)
+    p2, p5 = hopfield.sample_patterns(2, 30, 0), hopfield.sample_patterns(5, 30, 0)
+    for engine in (hopfield.FieldEngine(g, p2),
+                   hopfield.FieldEngine(graphs.gen_erdos_renyi(30, 0.3, 2), p5)):
+        with pytest.raises(ValueError, match="another graph or pattern set"):
+            capacity.recovery_rate(g, p5, 0.1, 20, 50, 0, engine=engine)
+
+
 def dense_fixed_points(g, p, rows=256):
     """Which patterns are fixed points of T, from the dense int64 fields
     (A o Xi^T Xi) Xi^T, taken a block of rows at a time."""

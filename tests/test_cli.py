@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import graphmem
 from graphmem import bounds, cli, graphs, spectral
 
 SRC = str(Path(graphs.__file__).resolve().parents[1])
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 # One small run of every command that writes an artifact.  Every config
 # echo holds the --graph path, so the runs use paths relative to the
@@ -79,6 +82,12 @@ def run_cli(*args):
     return cli.main(list(args))
 
 
+def without_elapsed(path):
+    """The bytes of the artifact at path, less its elapsed_seconds line."""
+    return b"".join(ln for ln in path.read_bytes().splitlines(keepends=True)
+                    if not ln.startswith(b'  "elapsed_seconds": '))
+
+
 def gen_graph_file(tmp_path, name="g.txt", n=40, p=0.25, seed=4):
     path = tmp_path / name
     code = run_cli("gen", "--model", "gnp", "--n", str(n), "--p", str(p),
@@ -94,6 +103,31 @@ def test_artifacts_match_recorded_texts(tmp_path):
     assert sorted(texts) == sorted(p.name for p in GOLDEN.iterdir())
     for name, text in texts.items():
         assert text == (GOLDEN / name).read_text(), name
+
+
+def test_every_artifact_reruns_from_its_own_config_echo(tmp_path):
+    # a run is reproduced from its own output: the echo that gen prints,
+    # or the config in every other artifact, run again through
+    # graphmem.run, writes the same bytes but for elapsed_seconds
+    stdout = run_artifacts(tmp_path)["stdout.txt"]
+    gen_echoes = iter(stdout.splitlines(keepends=True))
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        for argv in ARTIFACT_RUNS:
+            name = argv[argv.index("--out") + 1]
+            old, new = tmp_path / name, tmp_path / ("rerun-" + name)
+            echo = next(gen_echoes) if argv[0] == "gen" else None
+            conf = json.loads(echo) if echo else cli.parse_config_echo(old.read_text())
+            config = graphmem.ExperimentConfig(conf["command"], conf["params"],
+                                               conf["master_seed"], new.name)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert graphmem.run(config) == 0, argv
+            assert out.getvalue() == (echo or "")
+            assert without_elapsed(new) == without_elapsed(old), argv
+    finally:
+        os.chdir(cwd)
 
 
 def test_gen_writes_loadable_graph(tmp_path):
@@ -576,7 +610,8 @@ def test_undecodable_graph_file_exits_2_naming_its_line(tmp_path, capsys):
     gpath.write_bytes(b"3 1\n0 \xff1\n")
     out = tmp_path / "c.csv"
     assert run_cli("capacity", "--graph", str(gpath), "--out", str(out)) == 2
-    assert capsys.readouterr().err.startswith("error: line 2: non-integer vertex")
+    # the byte is quoted as its escape, which the message's repr doubles
+    assert capsys.readouterr().err == "error: line 2: non-integer vertex in '0 \\\\xff1'\n"
     assert not out.exists()
 
 
@@ -595,6 +630,23 @@ def test_reproduce_complete_suite(tmp_path):
     assert [row[0] for row in body] == ["48", "64", "96"]
     for row in body:
         assert int(row[6]) >= 1      # m_hat column
+
+
+def test_readme_powerlaw_ladder_runs_with_default_flags(tmp_path):
+    # the --sizes default (256,512,1024) is infeasible for powerlaw's
+    # default weights, so README gives the suite a ladder that runs; at
+    # seed 0 no row of it is in the theorem's regime
+    line, = [ln for ln in README.read_text().splitlines()
+             if ln.startswith("graphmem reproduce --suite powerlaw") and "--out" in ln]
+    argv = shlex.split(line)[1:]
+    out = tmp_path / "powerlaw.csv"
+    argv[argv.index("--out") + 1] = str(out)
+    assert run_cli(*argv, "--trials", "20") == 0
+    lines = out.read_text().splitlines()
+    header = lines[4].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[5:]]
+    assert [r["n"] for r in rows] == ["1024", "2048", "4096"]
+    assert all(r["h1_holds"] == r["h2_holds"] == "false" for r in rows)
 
 
 @pytest.mark.parametrize("argv, predictor", [

@@ -634,13 +634,13 @@ def test_integer_fields_are_ascii_digits(tmp_path):
     # np.loadtxt reads neither "_" separators nor other scripts' digits,
     # although Python's int() reads both; a byte that is not UTF-8 (written
     # here as its surrogate, \udcff for 0xff) is a malformed field too, not
-    # a decode error
+    # a decode error, and the message quotes it as its escape \xff
     path = tmp_path / "g.txt"
     for text, want in [("3 1\n0 1_0\n", "line 2: non-integer vertex in '0 1_0'"),
                        ("3 1\n0 ٢\n", "line 2: non-integer vertex in '0 ٢'"),
                        ("1_0 0\n", "line 1: non-integer header field in '1_0 0'"),
-                       ("3 1\n0 \udcff1\n", "line 2: non-integer vertex in '0 \\udcff1'"),
-                       ("3 \udcff\n0 1\n", "line 1: non-integer header field in '3 \\udcff'")]:
+                       ("3 1\n0 \udcff1\n", "line 2: non-integer vertex in '0 \\\\xff1'"),
+                       ("3 \udcff\n0 1\n", "line 1: non-integer header field in '3 \\\\xff'")]:
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(graphs.EdgeListParseError) as exc:
             graphs.load_edge_list(path)

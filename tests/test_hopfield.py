@@ -199,8 +199,10 @@ def test_int32_graph_arrays_give_the_same_results(ptr_dtype, idx_dtype, reps, mo
         for s in states:
             h = eng.fields(s)
             assert h.dtype == np.int32 and np.array_equal(h, wide.fields(s))
-            assert np.array_equal(eng.sweep(s), wide.sweep(s))
-            assert np.array_equal(eng.sweep(s), brute_sweep(g, base, s))
+            assert np.array_equal(hopfield.sequential_sweep(eng, s),
+                                  hopfield.sequential_sweep(wide, s))
+            assert np.array_equal(hopfield.sequential_sweep(eng, s),
+                                  brute_sweep(g, base, s))
 
 
 class MatmulLog(np.ndarray):
@@ -361,6 +363,18 @@ def test_engine_rejects_mismatched_sizes():
         hopfield.FieldEngine(g, p)
 
 
+def test_run_dynamics_rejects_an_engine_of_another_pair():
+    # an engine of g would run g's couplings on g2 of the same size and
+    # report where they lead; equal patterns are not the engine's own
+    g = graphs.gen_erdos_renyi(30, 0.3, 1)
+    g2 = graphs.gen_erdos_renyi(30, 0.3, 2)
+    p5, p5_copy = hopfield.sample_patterns(5, 30, 0), hopfield.sample_patterns(5, 30, 0)
+    for engine in (hopfield.FieldEngine(g, p5), hopfield.FieldEngine(g2, p5_copy)):
+        for mode in ("parallel", "sequential"):
+            with pytest.raises(ValueError, match="another graph or pattern set"):
+                hopfield.run_dynamics(g2, p5, p5.pattern(0), mode=mode, engine=engine)
+
+
 def test_local_field_singleton():
     # one sequential sweep on both storages, from a state it changes
     s = random_state(np.random.default_rng(0), 12)
@@ -468,7 +482,8 @@ def test_sweep_matches_oracle_on_structured_graphs(name, reps):
         check_sweep_type(eng, g, reps)
         for _ in range(40):
             s = random_state(rng, g.n)
-            assert np.array_equal(eng.sweep(s), brute_sweep(g, base, s))
+            assert np.array_equal(hopfield.sequential_sweep(eng, s),
+                                  brute_sweep(g, base, s))
 
 
 @pytest.mark.parametrize("reps", [1, 2 ** 15], ids=["int16", "int32"])
@@ -487,7 +502,8 @@ def test_sweep_matches_oracle_on_every_small_graph(reps):
             eng = hopfield.FieldEngine(g, repeated(base, reps))
             check_sweep_type(eng, g, reps)
             for s in states:
-                assert np.array_equal(eng.sweep(s), brute_sweep(g, base, s))
+                assert np.array_equal(hopfield.sequential_sweep(eng, s),
+                                      brute_sweep(g, base, s))
 
 
 @settings(max_examples=100, deadline=None)
@@ -501,7 +517,7 @@ def test_sweep_matches_oracle(n, density, m, reps, seed):
     rng = np.random.default_rng(seed)
     for s in (random_state(rng, n), base.pattern(0),
               hopfield.corrupt(base.pattern(0), 0.3, seed)):
-        assert np.array_equal(eng.sweep(s), brute_sweep(g, base, s))
+        assert np.array_equal(hopfield.sequential_sweep(eng, s), brute_sweep(g, base, s))
 
 
 @pytest.mark.parametrize("reps", [1, 2 ** 15], ids=["int16", "int32"])
@@ -519,7 +535,7 @@ def test_sweep_cascades_along_a_path(reps):
         s = -np.ones(n, dtype=np.int8)
         s[list(plus)] = 1
         for _ in range(sweeps):
-            nxt = eng.sweep(s)
+            nxt = hopfield.sequential_sweep(eng, s)
             assert np.array_equal(nxt, brute_sweep(g, base, s))
             assert not np.array_equal(nxt, s)
             s = nxt
@@ -544,7 +560,8 @@ def test_sweep_builds_one_schedule_per_graph_and_only_when_it_sweeps(monkeypatch
     # each engine sweeps its own weights over the one shared set of runs
     for eng in engines:
         for s in block.T:
-            assert np.array_equal(eng.sweep(s), brute_sweep(g, eng.p, s))
+            assert np.array_equal(hopfield.sequential_sweep(eng, s),
+                                  brute_sweep(g, eng.p, s))
     assert calls == [g]
 
 
